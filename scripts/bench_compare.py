@@ -13,10 +13,19 @@ baseline dump and a current dump and flags throughput regressions:
                             compared against a baseline recorded on different
                             hardware)
 
-Cells whose column name contains a '/' are ratios (e.g. "XSLT/morph",
-"hop/fused"); for those, *lower* is the regression direction, since every
-ratio in the tables is "slow path over fast path". Cells present in only one
-dump are reported but never fatal (tables legitimately grow).
+Every column has an explicit kind; the name alone is never trusted:
+
+    ratio   the same-run ratios listed in RATIO_COLS ("XSLT/morph",
+            "hop/fused", ...). Each is "slow path over fast path", so
+            *lower* is the regression direction.
+    count   the exact counts listed in COUNT_COLS ("morphs_evt"). They are
+            deterministic, so any change at all is a regression.
+    timing  every other bench_ms column (including "XML/XSLT", which is a
+            time in ms): bigger beyond the tolerance is a regression.
+
+A '/' column with no declared kind is rejected (exit 2) rather than guessed
+at: declare its kind here first. Cells present in only one dump are
+reported but never fatal (tables legitimately grow).
 
 ``bench_wire_bytes{bench,row,col}`` gauges — encoded message sizes — are
 compared the same way (growth beyond tolerance is a regression). Unlike
@@ -24,7 +33,7 @@ timings they are deterministic, so they hold across machines even without
 MORPH_BENCH_STRICT.
 
 Exit status: 0 when no regression (or --warn-only), 1 on regression, 2 on
-usage/parse errors.
+usage/parse errors or a column with no declared kind.
 """
 
 import argparse
@@ -38,26 +47,50 @@ CELL_RE = re.compile(
 )
 
 
+# Same-run ratio columns (slow path over fast path).
+RATIO_COLS = {"XSLT/morph", "hop/fused", "persub/grouped", "thr/rx", "XML/PBIO",
+              "XML/PBIOcv", "Pbuf/PBIO"}
+# Deterministic per-event counts.
+COUNT_COLS = {"morphs_evt"}
+# Timing columns whose names contain '/' (fig10's XML/XSLT is a time in ms).
+SLASHED_TIMING_COLS = {"XML/XSLT"}
+
+
+def die(msg):
+    print(f"bench_compare: {msg}", file=sys.stderr)
+    sys.exit(2)
+
+
+def kind(metric, col):
+    """Return "bytes", "ratio", "count" or "timing" for one cell."""
+    if metric == "bench_wire_bytes":
+        return "bytes"
+    if col in RATIO_COLS:
+        return "ratio"
+    if col in COUNT_COLS:
+        return "count"
+    if "/" in col and col not in SLASHED_TIMING_COLS:
+        die(f"column '{col}' has no declared kind; declare it in bench_compare.py")
+    return "timing"
+
+
 def load_cells(path):
     """Return {(metric, bench, row, col): value} from one metrics dump."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, ValueError) as e:
-        sys.exit(f"bench_compare: cannot read {path}: {e}")
+        die(f"cannot read {path}: {e}")
     if doc.get("schema") != "morph-metrics-v1":
-        sys.exit(f"bench_compare: {path} is not a morph-metrics-v1 dump")
+        die(f"{path} is not a morph-metrics-v1 dump")
     cells = {}
     for name, value in doc.get("gauges", {}).items():
         m = CELL_RE.match(name)
         if m:
             key = (m.group("metric"), m.group("bench"), m.group("row"), m.group("col"))
+            kind(key[0], key[3])  # reject undeclared '/' columns up front
             cells[key] = float(value)
     return cells
-
-
-def is_ratio(col):
-    return "/" in col
 
 
 def main():
@@ -73,9 +106,9 @@ def main():
     for path in args.current:
         cur.update(load_cells(path))
     if not base:
-        sys.exit(f"bench_compare: no bench_ms cells in {args.baseline}")
+        die(f"no bench_ms cells in {args.baseline}")
     if not cur:
-        sys.exit("bench_compare: no bench_ms cells in current dump(s)")
+        die("no bench_ms cells in current dump(s)")
 
     regressions = []
     compared = 0
@@ -90,21 +123,19 @@ def main():
             continue
         compared += 1
         change = (new - old) / old
-        if metric == "bench_ms" and is_ratio(col):
-            # Ratios are slow-path over fast-path: a drop means the fast path
-            # lost ground.
-            if change < -args.tolerance:
-                regressions.append((label, old, new, change))
-                print(f"  [REGRESS] {label}: ratio {old:.4f} -> {new:.4f} ({change:+.1%})")
-            else:
-                print(f"  [ok]      {label}: ratio {old:.4f} -> {new:.4f} ({change:+.1%})")
+        k = kind(metric, col)
+        if k == "ratio":
+            # Slow path over fast path: a drop means the fast path lost ground.
+            regressed = change < -args.tolerance
+        elif k == "count":
+            regressed = new != old
         else:
             # Timing cells and wire-bytes cells alike: bigger is worse.
-            if change > args.tolerance:
-                regressions.append((label, old, new, change))
-                print(f"  [REGRESS] {label}: {old:.4f} -> {new:.4f} ({change:+.1%})")
-            else:
-                print(f"  [ok]      {label}: {old:.4f} -> {new:.4f} ({change:+.1%})")
+            regressed = change > args.tolerance
+        if regressed:
+            regressions.append((label, old, new, change))
+        tag = "[REGRESS]" if regressed else "[ok]     "
+        print(f"  {tag} {label}: {k} {old:.4f} -> {new:.4f} ({change:+.1%})")
     for key in sorted(set(cur) - set(base)):
         metric, bench, row, col = key
         suffix = " (bytes)" if metric == "bench_wire_bytes" else ""

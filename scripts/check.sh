@@ -21,12 +21,11 @@ cmake --build build
 echo "== tests =="
 ctest --test-dir build --output-on-failure
 
-echo "== reactor transport lane (MORPH_TRANSPORT=reactor) =="
-# Re-run every transport-facing suite with the event-loop transport as the
-# process-wide default: same tests, second transport implementation. The
-# threaded path stays the differential oracle — both must pass.
-MORPH_TRANSPORT=reactor ./build/tests/tests_middleware
-MORPH_TRANSPORT=reactor ./build/tests/tests_fmtsvc
+echo "== end-to-end benchmark build (compile only) =="
+# perfbench/ builds the library from src/ on its own; a src/ change that
+# breaks it must fail here, not at the next benchmark run.
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench
 
 echo "== evolution audit (vs examples/transforms/AUDIT_golden.json) =="
 # Static breaking-change gate over the committed corpus: new error-severity
@@ -133,8 +132,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake -B build-tsan -G Ninja -DMORPH_SANITIZE=thread \
     -DMORPH_BUILD_BENCH=OFF -DMORPH_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-tsan
-  # The dedicated concurrency suite (including ReactorConcurrency) plus the
-  # multi-threaded soak in both transport modes: these are the tests whose
+  # The dedicated concurrency suite (including ReactorConcurrency, and the
+  # FmtsvcConcurrency and TelemetryConcurrency suites whose servers run on
+  # the reactor) plus the multi-threaded soak: these are the tests whose
   # whole point is to race, so they get the TSan referee.
   ./build-tsan/tests/tests_concurrency
   ./build-tsan/tests/tests_middleware --gtest_filter='Soak.*'

@@ -2,31 +2,22 @@
 //
 // EchoProcess itself is deliberately single-threaded (deterministic pump
 // semantics, per-connection receivers with no internal locks). This node
-// supplies the serving shell around it, in either transport mode:
-//
-//   kReactor   one epoll event loop owns every connection AND the process:
-//              all protocol handling, membership bookkeeping, and fan-out
-//              runs on the loop thread, so the process needs no locking at
-//              all. Publishes from other threads hop onto the loop through
-//              with_process(). This is the connection-scale path — peers
-//              cost a socket and a receiver, not an OS thread.
-//   kThreaded  the legacy shell and differential oracle: an acceptor plus
-//              one pumping thread per connection, serialized by a node
-//              mutex so concurrent pumps cannot race inside the process.
+// supplies the serving shell around it: one transport::ReactorServer event
+// loop owns every connection AND the process, so all protocol handling,
+// membership bookkeeping and fan-out run on the loop thread and the
+// process needs no locking at all. Publishes from other threads hop onto
+// the loop through with_process(). Peers cost a socket and a receiver, not
+// an OS thread.
 //
 // Lifecycle caveat (inherited from EchoProcess, whose peer table only
 // grows): a disconnected peer stays in channel membership; sends to it
-// become counted drops (morph_reactor_send_drops_total in reactor mode)
-// until it re-joins or the node dies. Link objects are pinned until node
-// destruction so the process's MessagePorts never dangle.
+// become counted drops (morph_reactor_send_drops_total) until it re-joins
+// or the node dies. Link objects are pinned until node destruction so the
+// process's MessagePorts never dangle.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "echo/process.hpp"
@@ -37,11 +28,6 @@ namespace morph::echo {
 
 struct NodeOptions {
   uint16_t port = 0;  // 0 picks an ephemeral port; read back with port()
-  transport::TransportMode transport = transport::default_transport_mode();
-  /// Reactor-mode idle-connection timeout, 0 = never. A peer that dribbles
-  /// bytes without ever completing a frame is reaped by this, not by any
-  /// protocol-level watchdog.
-  uint32_t idle_timeout_ms = 0;
   size_t max_connections = 1u << 20;
   core::ReceiverOptions receiver;
   EchoVersion version = EchoVersion::kV2;
@@ -53,50 +39,28 @@ class EchoTcpNode {
   /// Start serving immediately. `contact` is the hosted process's name in
   /// the channel protocol.
   EchoTcpNode(std::string contact, NodeOptions options = {});
-  ~EchoTcpNode();
 
   EchoTcpNode(const EchoTcpNode&) = delete;
   EchoTcpNode& operator=(const EchoTcpNode&) = delete;
 
   uint16_t port() const { return listener_.port(); }
-  transport::TransportMode mode() const { return options_.transport; }
-  size_t connections() const;
+  size_t connections() const { return server_.connections(); }
 
-  /// Run `fn` with the hosted process, inside its serialization domain:
-  /// on the event loop in reactor mode (blocking until done), under the
-  /// node mutex in threaded mode. This is the only way to touch the
-  /// process — create_channel, on_event, publish, stats all go through it.
+  /// Run `fn` with the hosted process on the event loop, blocking until it
+  /// is done. This is the only way to touch the process — create_channel,
+  /// on_event, publish, stats all go through it.
   void with_process(const std::function<void(EchoProcess&)>& fn);
 
   /// Convenience: publish under with_process, returning the fan-out count.
   size_t publish(const std::string& channel, const pbio::FormatPtr& fmt, const void* record);
 
  private:
-  struct ThreadedConn;
-
-  void accept_loop();
-  void serve_conn(ThreadedConn& conn);
-
-  std::string contact_;
-  NodeOptions options_;
   transport::TcpListener listener_;
-  std::unique_ptr<EchoProcess> process_;
-  std::atomic<bool> stop_{false};
-
-  // Threaded mode: the node mutex is the process's serialization domain.
-  std::mutex process_mutex_;
-  // conns_ is appended to by the acceptor thread while connections() may
-  // iterate it from any thread — guarded by its own mutex so a
-  // reallocating push_back never races an iteration.
-  mutable std::mutex conns_mutex_;
-  std::vector<std::unique_ptr<ThreadedConn>> conns_;
-
-  // Reactor mode: links pinned until node destruction (see header comment).
-  // Loop-thread-only once serving starts.
+  EchoProcess process_;
+  // Links pinned until node destruction (see header comment). Loop-thread
+  // only once serving starts.
   std::vector<std::shared_ptr<transport::AsyncTcpLink>> pinned_links_;
-
-  std::unique_ptr<transport::ReactorServer> reactor_;
-  std::thread acceptor_;  // threaded mode only; initialized last
+  transport::ReactorServer server_;  // initialized last: serving starts here
 };
 
 }  // namespace morph::echo

@@ -39,42 +39,18 @@ SvcMetrics& svc() {
 }
 }  // namespace
 
-struct FormatService::Conn {
-  std::unique_ptr<transport::TcpLink> link;
-  std::thread thread;
-  std::atomic<bool> done{false};
-};
-
 FormatService::FormatService(FormatStore& store, ServiceOptions options)
-    : store_(store), options_(options), listener_(options.port) {
-  if (options_.transport == transport::TransportMode::kReactor) {
-    transport::ReactorOptions ropts;
-    ropts.loops = options_.loops;
-    ropts.idle_timeout_ms = options_.idle_timeout_ms;
-    ropts.max_connections = options_.max_connections;
-    reactor_ = std::make_unique<transport::ReactorServer>(
-        listener_, ropts,
-        [this](transport::AsyncTcpLink& link) {
-          counters_.connections.fetch_add(1, kRelaxed);
-          svc().live_conns.add(1);
-          serve_reactor_conn(link);
-        },
-        [](transport::AsyncTcpLink&) { svc().live_conns.add(-1); });
-  } else {
-    acceptor_ = std::thread([this] { accept_loop(); });
-  }
-}
-
-FormatService::~FormatService() {
-  stop_.store(true, kRelaxed);
-  reactor_.reset();  // stops the reactor's acceptor and loops, closes conns
-  if (acceptor_.joinable()) acceptor_.join();
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  // Handlers poll in <=100ms slices and re-check stop_, so joining suffices;
-  // closing their links from here would race the handler's own use of them.
-  for (auto& conn : conns_) conn->thread.join();
-  conns_.clear();
-}
+    : store_(store),
+      options_(std::move(options)),
+      listener_(options_.port),
+      server_(
+          listener_, transport::ReactorOptions{.max_connections = options_.max_connections},
+          [this](transport::AsyncTcpLink& link) {
+            counters_.connections.fetch_add(1, kRelaxed);
+            svc().live_conns.add(1);
+            serve(link);
+          },
+          [](transport::AsyncTcpLink&) { svc().live_conns.add(-1); }) {}
 
 ServiceStats FormatService::stats() const {
   ServiceStats s;
@@ -89,92 +65,15 @@ ServiceStats FormatService::stats() const {
   return s;
 }
 
-void FormatService::reap_finished() {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  std::erase_if(conns_, [](const std::unique_ptr<Conn>& c) {
-    if (!c->done.load(kRelaxed)) return false;
-    c->thread.join();
-    return true;
-  });
-}
-
-void FormatService::accept_loop() {
-  while (!stop_.load(kRelaxed)) {
-    std::unique_ptr<transport::TcpLink> link;
-    try {
-      link = listener_.accept(100);
-    } catch (const Error& e) {
-      MORPH_LOG_WARN("fmtsvc") << "accept failed: " << e.what();
-      continue;
-    }
-    if (link == nullptr) continue;
-    reap_finished();
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    if (conns_.size() >= options_.max_connections) {
-      MORPH_LOG_WARN("fmtsvc") << "connection limit reached, refusing client";
-      continue;  // link closes on scope exit; client sees EOF
-    }
-    counters_.connections.fetch_add(1, kRelaxed);
-    auto conn = std::make_unique<Conn>();
-    conn->link = std::move(link);
-    Conn* raw = conn.get();
-    conn->thread = std::thread([this, raw] {
-      svc().live_conns.add(1);
-      serve_conn(*raw);
-      svc().live_conns.add(-1);
-      raw->done.store(true, kRelaxed);
-    });
-    conns_.push_back(std::move(conn));
-  }
-}
-
-void FormatService::serve_conn(Conn& conn) {
-  transport::FrameAssembler assembler;
-  conn.link->set_on_data([&](const uint8_t* data, size_t size) {
-    assembler.feed(data, size, [&](transport::Frame& frame) {
-      if (frame.type != transport::FrameType::kFmtsvcRequest) {
-        throw TransportError("fmtsvc: unexpected frame type on service connection");
-      }
-      // Adopt the client's trace id so server-side spans correlate with the
-      // resolver's fetch spans across the wire.
-      obs::TraceScope trace_scope(obs::TraceContext{frame.trace_id});
-      obs::TraceSpan span("fmtsvc.handle", &svc().handle_ns);
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Reply reply = handle(Request::deserialize(r));
-      ByteBuffer payload;
-      reply.serialize(payload);
-      ByteBuffer out;
-      transport::write_frame(out, transport::FrameType::kFmtsvcReply, payload.data(),
-                             payload.size(), frame.trace_id);
-      conn.link->send(out);
-    });
-  });
-  try {
-    while (!stop_.load(kRelaxed) && conn.link->pump(100)) {
-    }
-  } catch (const Error& e) {
-    // Malformed frame or request, or the peer vanished mid-write: this
-    // connection is done, the service keeps running.
-    counters_.bad_frames.fetch_add(1, kRelaxed);
-    svc().bad_frames.inc();
-    MORPH_LOG_WARN("fmtsvc") << "connection dropped: " << e.what();
-  }
-  conn.link->close();
-}
-
-void FormatService::serve_reactor_conn(transport::AsyncTcpLink& link) {
-  // Per-connection protocol state lives in the link's user slot and dies on
-  // the owning loop's thread at close. handle() is already thread-safe
-  // (sharded store, atomic counters), so loops never coordinate.
-  auto assembler = std::make_shared<transport::FrameAssembler>();
-  link.set_user(assembler);
-  transport::AsyncTcpLink* l = &link;
-  link.set_on_data([this, l, a = assembler.get()](const uint8_t* data, size_t size) {
-    try {
-      a->feed(data, size, [this, l](transport::Frame& frame) {
+void FormatService::serve(transport::AsyncTcpLink& link) {
+  transport::serve_frames(
+      link,
+      [this, l = &link](transport::Frame& frame) {
         if (frame.type != transport::FrameType::kFmtsvcRequest) {
           throw TransportError("fmtsvc: unexpected frame type on service connection");
         }
+        // Adopt the client's trace id so server-side spans correlate with
+        // the resolver's fetch spans across the wire.
         obs::TraceScope trace_scope(obs::TraceContext{frame.trace_id});
         obs::TraceSpan span("fmtsvc.handle", &svc().handle_ns);
         ByteReader r(frame.payload.data(), frame.payload.size());
@@ -185,16 +84,14 @@ void FormatService::serve_reactor_conn(transport::AsyncTcpLink& link) {
         transport::write_frame(out, transport::FrameType::kFmtsvcReply, payload.data(),
                                payload.size(), frame.trace_id);
         l->send(out);
+      },
+      [this](const Error& e) {
+        // Malformed frame or request: this connection is done, the
+        // service keeps running.
+        counters_.bad_frames.fetch_add(1, kRelaxed);
+        svc().bad_frames.inc();
+        MORPH_LOG_WARN("fmtsvc") << "connection dropped: " << e.what();
       });
-    } catch (const Error& e) {
-      // Same containment as the threaded path: a malformed frame costs its
-      // own connection and a counter bump, never the service.
-      counters_.bad_frames.fetch_add(1, kRelaxed);
-      svc().bad_frames.inc();
-      MORPH_LOG_WARN("fmtsvc") << "connection dropped: " << e.what();
-      l->close();
-    }
-  });
 }
 
 Reply FormatService::handle(const Request& req) {

@@ -10,7 +10,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <chrono>
 #include <cstring>
 #include <ctime>
 
@@ -46,6 +46,7 @@ struct ReactorMetrics {
   obs::Counter& accepted = obs::metrics().counter("morph_reactor_accepted_total");
   obs::Counter& closed = obs::metrics().counter("morph_reactor_closed_total");
   obs::Counter& refused = obs::metrics().counter("morph_reactor_refused_total");
+  obs::Counter& accept_errors = obs::metrics().counter("morph_reactor_accept_errors_total");
   obs::Counter& idle_timeouts = obs::metrics().counter("morph_reactor_idle_timeouts_total");
   obs::Counter& backpressure_closes =
       obs::metrics().counter("morph_reactor_backpressure_closes_total");
@@ -67,22 +68,9 @@ std::atomic<uint64_t> g_next_link_id{1};
 constexpr size_t kInitialRing = 4u << 10;
 constexpr int kMaxEvents = 256;
 constexpr int kFlushIov = 16;  // outbox chunks gathered per sendmsg
+constexpr int kAcceptPollMs = 50;
 
 }  // namespace
-
-TransportMode default_transport_mode() {
-  static const TransportMode mode = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once before threads spawn
-    const char* env = std::getenv("MORPH_TRANSPORT");
-    if (env != nullptr && std::string(env) == "reactor") return TransportMode::kReactor;
-    return TransportMode::kThreaded;
-  }();
-  return mode;
-}
-
-const char* transport_mode_name(TransportMode mode) {
-  return mode == TransportMode::kReactor ? "reactor" : "threaded";
-}
 
 // ---------------------------------------------------------------------------
 // AsyncTcpLink
@@ -611,9 +599,14 @@ void ReactorServer::accept_loop() {
   while (!stop_.load(std::memory_order_acquire)) {
     std::unique_ptr<TcpLink> link;
     try {
-      link = listener_.accept(50);
+      link = listener_.accept(kAcceptPollMs);
     } catch (const Error&) {
-      continue;  // transient accept failure; the listener itself is fine
+      // EMFILE, ENFILE and friends leave the connection queued, so poll
+      // would report it again at once: count the failure and back off one
+      // poll interval instead of spinning until an fd frees up.
+      gm().accept_errors.inc();
+      std::this_thread::sleep_for(std::chrono::milliseconds(kAcceptPollMs));
+      continue;
     }
     if (!link) continue;
     if (connections() >= options_.max_connections) {
@@ -624,6 +617,25 @@ void ReactorServer::accept_loop() {
     const size_t idx = next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
     loops_[idx]->adopt(link->release_fd());
   }
+}
+
+// ---------------------------------------------------------------------------
+// serve_frames
+
+void serve_frames(AsyncTcpLink& link, std::function<void(Frame&)> on_frame,
+                  std::function<void(const Error&)> on_bad) {
+  // The assembler dies with the connection, on the owning loop's thread.
+  auto assembler = std::make_shared<FrameAssembler>();
+  link.set_user(assembler);
+  link.set_on_data([l = &link, a = assembler.get(), on_frame = std::move(on_frame),
+                    on_bad = std::move(on_bad)](const uint8_t* data, size_t size) {
+    try {
+      a->feed(data, size, on_frame);
+    } catch (const Error& e) {
+      on_bad(e);
+      l->close();
+    }
+  });
 }
 
 }  // namespace morph::transport

@@ -1,9 +1,8 @@
-// Event-driven reactor transport: 10k+ concurrent peers per process.
-//
-// The thread-per-connection servers (fmtsvc/server.cpp historically, the
-// endpoints in this directory) cap a process at a few thousand peers — one
-// OS thread per peer. The reactor replaces that with non-blocking sockets
-// multiplexed over edge-triggered epoll:
+// Event-driven reactor transport: the one server engine. Every server in
+// the middleware (fmtsvc::FormatService, echo::EchoTcpNode,
+// TelemetryCollector) serves its peers here, over non-blocking sockets
+// multiplexed on edge-triggered epoll, so a peer costs a socket and a
+// receive ring, not an OS thread:
 //
 //   Reactor        one event loop on one thread: epoll, an eventfd for
 //                  cross-thread wakeups (post()), and a hashed timer wheel
@@ -28,11 +27,6 @@
 // caller's problem — hold shared() across threads). The data callback, the
 // accept callback, and the close callback run on the owning loop's thread.
 // A connection's callbacks never run concurrently with each other.
-//
-// Servers ported onto the reactor keep their threaded implementation as a
-// differential oracle behind TransportMode (fmtsvc::ServiceOptions,
-// echo::EchoTcpNode); MORPH_TRANSPORT=reactor|threaded flips the default,
-// which is how CI re-runs the whole middleware suite in reactor mode.
 #pragma once
 
 #include <atomic>
@@ -45,22 +39,18 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/error.hpp"
+#include "transport/framing.hpp"
 #include "transport/link.hpp"
 #include "transport/tcp.hpp"
 
 namespace morph::transport {
 
-/// Which serving engine a network server uses. kThreaded is the legacy
-/// thread-per-connection path (the differential oracle); kReactor is the
-/// epoll event-loop path.
-enum class TransportMode { kThreaded, kReactor };
-
-/// Process default, read once from MORPH_TRANSPORT ("reactor" or
-/// "threaded"; anything else, or unset, means kThreaded). Lets CI re-run
-/// the existing middleware suites in reactor mode without touching tests.
-TransportMode default_transport_mode();
-
-const char* transport_mode_name(TransportMode mode);
+/// The serving engine. It has one value; it survives only because the
+/// end-to-end benchmark (perfbench/) still assigns
+/// fmtsvc::ServiceOptions::transport, and goes with that benchmark's next
+/// change.
+enum class TransportMode { kReactor };
 
 struct ReactorOptions {
   /// Event loops the server spreads connections over (per-core loops; the
@@ -76,7 +66,7 @@ struct ReactorOptions {
   /// unbounded buffer to a dead peer.
   size_t max_outbox_bytes = 4u << 20;
   /// Accepts beyond this many live connections are closed immediately
-  /// (the client sees EOF, as with fmtsvc's threaded limit).
+  /// (the client sees EOF and retries per its backoff).
   size_t max_connections = 1u << 20;
   /// Upper bound on the per-connection receive ring. The ring starts small
   /// and doubles as a single wakeup drains more, so idle connections cost
@@ -275,8 +265,8 @@ class Reactor {
 
 /// A listening socket served by a shared acceptor thread feeding N event
 /// loops round-robin. The listener is borrowed and must outlive the server
-/// (servers that already own a TcpListener — fmtsvc, the echo node — pass
-/// theirs; port() stays wherever it always lived).
+/// (servers that own a TcpListener — fmtsvc, the echo node, the telemetry
+/// collector — pass theirs; port() stays wherever it always lived).
 class ReactorServer {
  public:
   using ConnCallback = Reactor::ConnCallback;
@@ -312,5 +302,13 @@ class ReactorServer {
   std::atomic<size_t> next_loop_{0};
   std::thread acceptor_;  // initialized last
 };
+
+/// Serve a framed request protocol on an accepted connection: a
+/// per-connection FrameAssembler, held in the link's user slot, hands every
+/// complete frame to `on_frame` on the loop thread. A malformed frame, or an
+/// on_frame that throws morph::Error, costs only this connection: `on_bad`
+/// sees the error (to count and log it) and the link closes.
+void serve_frames(AsyncTcpLink& link, std::function<void(Frame&)> on_frame,
+                  std::function<void(const Error&)> on_bad);
 
 }  // namespace morph::transport

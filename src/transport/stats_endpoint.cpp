@@ -1,5 +1,6 @@
 #include "transport/stats_endpoint.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -21,10 +22,22 @@ StatsServer::~StatsServer() {
 }
 
 void StatsServer::serve_loop() {
+  constexpr int kPollMs = 100;
   while (!stop_.load(std::memory_order_relaxed)) {
+    std::unique_ptr<TcpLink> link;
     try {
-      auto link = listener_.accept(100);
-      if (link != nullptr) handle(*link);
+      link = listener_.accept(kPollMs);
+    } catch (const Error&) {
+      // EMFILE, ENFILE and friends leave the connection queued, so poll
+      // would report it again at once: count the failure and back off one
+      // poll interval instead of spinning until an fd frees up.
+      registry_.counter("morph_stats_accept_errors_total").inc();
+      std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+      continue;
+    }
+    if (link == nullptr) continue;
+    try {
+      handle(*link);
     } catch (const Error& e) {
       // A misbehaving client must not take the endpoint down.
       MORPH_LOG_WARN("stats") << "request failed: " << e.what();

@@ -10,9 +10,9 @@
 // dropped-oldest and counted (morph_telemetry_export_dropped_total), never
 // silent.
 //
-// TelemetryCollector mirrors fmtsvc::FormatService's containment model:
-// one acceptor thread, one thread per connection, and a malformed frame
-// kills only its own connection (counted in
+// TelemetryCollector serves every exporter connection on one
+// ReactorServer event loop, with fmtsvc::FormatService's containment
+// model: a malformed frame kills only its own connection (counted in
 // morph_telemetry_bad_frames_total).
 #pragma once
 
@@ -26,6 +26,7 @@
 
 #include "obs/stitch.hpp"
 #include "obs/telemetry.hpp"
+#include "transport/reactor.hpp"
 #include "transport/tcp.hpp"
 
 namespace morph::transport {
@@ -95,7 +96,6 @@ struct CollectorStats {
 class TelemetryCollector {
  public:
   explicit TelemetryCollector(CollectorOptions options = {});
-  ~TelemetryCollector();
 
   TelemetryCollector(const TelemetryCollector&) = delete;
   TelemetryCollector& operator=(const TelemetryCollector&) = delete;
@@ -106,16 +106,10 @@ class TelemetryCollector {
   const obs::TraceStitcher& stitcher() const { return stitcher_; }
 
  private:
-  struct Conn;
+  void serve(AsyncTcpLink& link);
 
-  void accept_loop();
-  void serve_conn(Conn& conn);
-  void reap_finished();
-
-  CollectorOptions options_;
   obs::TraceStitcher stitcher_;
   TcpListener listener_;
-  std::atomic<bool> stop_{false};
 
   struct Counters {
     std::atomic<uint64_t> connections{0};
@@ -126,9 +120,7 @@ class TelemetryCollector {
   };
   mutable Counters counters_;
 
-  std::mutex conns_mutex_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::thread acceptor_;  // initialized last: serving starts after members
+  ReactorServer server_;  // initialized last: serving starts here
 };
 
 /// One-shot client: ask a running collector for its stitched-state JSON.

@@ -187,6 +187,10 @@ TEST(FanoutConcurrency, SharedPayloadsFreedExactlyOnce) {
   for (int t = 0; t < kSinks; ++t) {
     consumers.emplace_back([&, t] {
       for (;;) {
+        // Read `done` before looking at the queue: an empty queue seen
+        // after `done` is final, while one seen before it may still be
+        // about to receive the broker's last pushes.
+        const bool finished = done.load(std::memory_order_acquire);
         transport::SharedPayload p;
         {
           std::lock_guard<std::mutex> lock(queues[t].mutex);
@@ -198,7 +202,7 @@ TEST(FanoutConcurrency, SharedPayloadsFreedExactlyOnce) {
         if (p != nullptr) {
           consumed.fetch_add(1, std::memory_order_relaxed);
           consumed_bytes.fetch_add(p->size(), std::memory_order_relaxed);
-        } else if (done.load(std::memory_order_acquire)) {
+        } else if (finished) {
           return;
         } else {
           std::this_thread::yield();

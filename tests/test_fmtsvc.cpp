@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <thread>
 
 #include "common/clock.hpp"
@@ -349,6 +351,7 @@ TEST(FmtsvcService, MalformedFrameKillsOnlyThatConnection) {
   rogue->send(frame);
   while (rogue->pump(2000)) {
   }
+  EXPECT_FALSE(rogue->connected());  // server closed us
   EXPECT_EQ(service.stats().bad_frames, 1u);
 
   // The service keeps answering well-formed clients.
@@ -631,13 +634,11 @@ TEST(FmtsvcReceiver, FetchOrInlineRetriesProvisionalRejections) {
   EXPECT_EQ(rs.resolve_fetched, 1u);
 }
 
-// --- reactor transport ------------------------------------------------------
+// --- serving engine ---------------------------------------------------------
 
-TEST(FmtsvcReactor, ServesResolversOverTheEventLoop) {
+TEST(FmtsvcService, ServesResolversOverTheEventLoop) {
   fmtsvc::FormatStore store;
-  fmtsvc::ServiceOptions opts;
-  opts.transport = transport::TransportMode::kReactor;
-  fmtsvc::FormatService service(store, opts);
+  fmtsvc::FormatService service(store);
 
   fmtsvc::FormatResolver writer(client_for(service.port()));
   ASSERT_TRUE(writer.publish(rev(1), {down(1)}));
@@ -656,11 +657,9 @@ TEST(FmtsvcReactor, ServesResolversOverTheEventLoop) {
 TEST(FmtsvcReactor, MalformedFrameKillsOnlyThatConnection) {
   fmtsvc::FormatStore store;
   store.put(fmtsvc::FormatEntry{rev(0), {}});
-  fmtsvc::ServiceOptions opts;
-  opts.transport = transport::TransportMode::kReactor;
-  fmtsvc::FormatService service(store, opts);
+  fmtsvc::FormatService service(store);
 
-  // Hostile client: garbage that fails frame validation.
+  // Hostile client: garbage that fails frame validation on the event loop.
   auto hostile = transport::TcpLink::connect("127.0.0.1", service.port());
   const uint8_t junk[8] = {0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4};
   hostile->send(junk, sizeof junk);
@@ -674,62 +673,72 @@ TEST(FmtsvcReactor, MalformedFrameKillsOnlyThatConnection) {
   EXPECT_EQ(service.stats().bad_frames, 1u);
 }
 
-TEST(FmtsvcReactor, DifferentialReplyBytesMatchThreadedMode) {
-  // The same request sequence against both serving engines must produce
-  // byte-identical reply streams — the reactor is a transport change, not
-  // a protocol change.
-  auto run_requests = [](transport::TransportMode mode) {
-    fmtsvc::FormatStore store;
-    store.put(fmtsvc::FormatEntry{rev(1), {down(1)}});
-    store.put(fmtsvc::FormatEntry{rev(2), {down(2)}});
-    fmtsvc::ServiceOptions opts;
-    opts.transport = mode;
-    fmtsvc::FormatService service(store, opts);
-
-    auto link = transport::TcpLink::connect("127.0.0.1", service.port());
-    std::vector<uint8_t> replies;
-    size_t reply_frames = 0;
-    transport::FrameAssembler assembler;
-    link->set_on_data([&](const uint8_t* d, size_t n) {
-      replies.insert(replies.end(), d, d + n);
-      assembler.feed(d, n, [&](transport::Frame&) { ++reply_frames; });
-    });
-
-    auto send_request = [&](const fmtsvc::Request& req) {
-      ByteBuffer payload;
-      req.serialize(payload);
-      ByteBuffer out;
-      transport::write_frame(out, transport::FrameType::kFmtsvcRequest, payload.data(),
-                             payload.size());
-      link->send(out);
-    };
-    fmtsvc::Request fetch;
-    fetch.op = fmtsvc::Op::kFetch;
-    fetch.request_id = 1;
-    fetch.fingerprints = {rev(1)->fingerprint()};
-    send_request(fetch);
-    fmtsvc::Request multi;
-    multi.op = fmtsvc::Op::kFetchMulti;
-    multi.request_id = 2;
-    multi.fingerprints = {rev(2)->fingerprint(), 0xdead};
-    send_request(multi);
-    fmtsvc::Request list;
-    list.op = fmtsvc::Op::kList;
-    list.request_id = 3;
-    send_request(list);
-
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
-    while (reply_frames < 3 && std::chrono::steady_clock::now() < deadline) {
-      EXPECT_TRUE(link->pump(20));
+/// Read a hex transcript: lines starting with '#' are comments, every
+/// other line is hex byte pairs.
+std::vector<uint8_t> read_hex_transcript(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << "cannot open " << path;
+  std::vector<uint8_t> bytes;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    for (size_t i = 0; i + 1 < line.size(); i += 2) {
+      bytes.push_back(static_cast<uint8_t>(std::stoi(line.substr(i, 2), nullptr, 16)));
     }
-    EXPECT_EQ(reply_frames, 3u);
-    return replies;
-  };
+  }
+  return bytes;
+}
 
-  const auto threaded = run_requests(transport::TransportMode::kThreaded);
-  const auto reactor = run_requests(transport::TransportMode::kReactor);
-  ASSERT_FALSE(threaded.empty());
-  EXPECT_EQ(threaded, reactor);
+TEST(FmtsvcService, ReplyBytesMatchGoldenTranscript) {
+  // A fixed FETCH / FETCH_MULTI / LIST sequence must produce exactly the
+  // reply stream the retired thread-per-connection engine produced: the
+  // serving engine is a transport choice, not a protocol change. The
+  // transcript was recorded from that engine; see the file's header.
+  fmtsvc::FormatStore store;
+  store.put(fmtsvc::FormatEntry{rev(1), {down(1)}});
+  store.put(fmtsvc::FormatEntry{rev(2), {down(2)}});
+  fmtsvc::FormatService service(store);
+
+  auto link = transport::TcpLink::connect("127.0.0.1", service.port());
+  std::vector<uint8_t> replies;
+  size_t reply_frames = 0;
+  transport::FrameAssembler assembler;
+  link->set_on_data([&](const uint8_t* d, size_t n) {
+    replies.insert(replies.end(), d, d + n);
+    assembler.feed(d, n, [&](transport::Frame&) { ++reply_frames; });
+  });
+
+  auto send_request = [&](const fmtsvc::Request& req) {
+    ByteBuffer payload;
+    req.serialize(payload);
+    ByteBuffer out;
+    transport::write_frame(out, transport::FrameType::kFmtsvcRequest, payload.data(),
+                           payload.size());
+    link->send(out);
+  };
+  fmtsvc::Request fetch;
+  fetch.op = fmtsvc::Op::kFetch;
+  fetch.request_id = 1;
+  fetch.fingerprints = {rev(1)->fingerprint()};
+  send_request(fetch);
+  fmtsvc::Request multi;
+  multi.op = fmtsvc::Op::kFetchMulti;
+  multi.request_id = 2;
+  multi.fingerprints = {rev(2)->fingerprint(), 0xdead};
+  send_request(multi);
+  fmtsvc::Request list;
+  list.op = fmtsvc::Op::kList;
+  list.request_id = 3;
+  send_request(list);
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (reply_frames < 3 && std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(link->pump(20));
+  }
+  ASSERT_EQ(reply_frames, 3u);
+
+  const auto golden = read_hex_transcript(MORPH_GOLDEN_DIR "/fmtsvc_replies.hex");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(replies, golden);
 }
 
 }  // namespace
