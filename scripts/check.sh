@@ -10,7 +10,9 @@
 #                                  # morph-stat --check and diffed against the
 #                                  # committed BENCH_baseline.json (>10% slowdowns
 #                                  # are flagged; MORPH_BENCH_STRICT=1 makes them
-#                                  # fatal for same-machine baselines)
+#                                  # fatal for same-machine baselines), plus the
+#                                  # perfbench self-test and a 5 s oracle-checked
+#                                  # response-10k-pbuf run
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,6 +98,15 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   ./build/tools/morph-trace pipeline --events 8 --json TRACE_pipeline.json >/dev/null
   ./build/tools/morph-stat --check TRACE_pipeline.json >/dev/null
   echo "telemetry e2e OK (TRACE_pipeline.json)"
+
+  echo "== end-to-end benchmark smoke (perfbench) =="
+  # The harness self-test (attribution, failure accounting, trace join),
+  # then one short run of the protobuf workload. Every delivery is checked
+  # against a per-sink oracle, and run.py exits non-zero on any wrong or
+  # missing one, so a bad protobuf encode fails here.
+  python3 perfbench/tests/test_harness.py
+  python3 perfbench/run.py --workload response-10k-pbuf --seed 1 --seconds 5 --trace 0 >/dev/null
+  echo "perfbench smoke OK"
 
   echo "== bench regression gate (vs BENCH_baseline.json) =="
   # The committed baseline was recorded on one machine; absolute timings do

@@ -169,6 +169,7 @@ class GroupPublisher {
   RecordArena arena_;    // morphed records live until the next publish
   ByteBuffer wire_;      // scratch: the event's source-format encoding
   ByteBuffer scratch_;   // scratch: per-group morphed encoding
+  pbuf::EncodeScratch pbuf_scratch_;  // scratch: protobuf encode lengths
   std::vector<transport::MessagePort*> ports_;  // scratch: resolved group
 };
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <deque>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -151,31 +153,6 @@ void decode_scalar_value(PbReader& in, WireType wt, const FieldDescriptor& efd,
     }
   }
   pbio::write_scalar_i64(target, efd, v);
-}
-
-/// Encode one scalar value from `source` at efd's offset (payload only).
-void encode_scalar_payload(const void* source, const FieldDescriptor& efd, uint32_t pb_flags,
-                           ByteBuffer& out) {
-  if (efd.kind == FieldKind::kFloat) {
-    double f = pbio::read_scalar_f64(source, efd);
-    if (efd.size == 4) {
-      put_fixed32(out, std::bit_cast<uint32_t>(static_cast<float>(f)));
-    } else {
-      put_fixed64(out, std::bit_cast<uint64_t>(f));
-    }
-    return;
-  }
-  int64_t v = pbio::read_scalar_i64(source, efd);
-  if ((pb_flags & pbio::kPbFixed) != 0) {
-    if (efd.size == 8) {
-      put_fixed64(out, static_cast<uint64_t>(v));
-    } else {
-      put_fixed32(out, static_cast<uint32_t>(v));
-    }
-    return;
-  }
-  put_varint(out, (pb_flags & pbio::kPbZigzag) != 0 ? zigzag_encode(v)
-                                                    : static_cast<uint64_t>(v));
 }
 
 std::string_view ld_view(const PbReader& sub) {
@@ -354,100 +331,417 @@ void decode_message_impl(PbReader& in, const MessageTable& table, void* record,
   }
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Encode
+// Encode: one compiled op table per message, run in two passes
 // ---------------------------------------------------------------------------
 
-void encode_message_impl(const void* record, const FormatDescriptor& fmt, ByteBuffer& out,
-                         int depth);
+namespace detail {
 
-void encode_repeated(const void* record, const FormatDescriptor& fmt,
-                     const FieldDescriptor& fd, ByteBuffer& out, int depth) {
-  const FieldDescriptor* length_fd = fmt.find_field(fd.length_field);
-  auto count = static_cast<uint64_t>(pbio::read_scalar_i64(record, *length_fd));
-  if (count == 0) return;  // proto3: empty repeated field omitted
-  const auto* base = static_cast<const uint8_t*>(pbio::read_pointer(record, fd));
-  if (base == nullptr) {
-    throw FormatError("dynamic array '" + fd.name + "' is null but count is " +
-                      std::to_string(count));
-  }
-  uint32_t number = fd.pb_number();
-  uint32_t stride = fd.element_stride();
-  if (fd.element_format) {
-    // Every element is emitted, empty payloads included: the occurrence
-    // count is the element count on the wire.
-    for (uint64_t i = 0; i < count; ++i) {
-      ByteBuffer scratch;
-      encode_message_impl(base + i * stride, *fd.element_format, scratch, depth + 1);
-      put_tag(out, number, WireType::kLengthDelimited);
-      put_varint(out, scratch.size());
-      out.append(scratch.data(), scratch.size());
-    }
-    return;
-  }
-  FieldDescriptor efd = element_descriptor(fd);
-  if (fd.element_kind == FieldKind::kString) {
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string_view s = pbio::read_string_field(base + i * stride, efd);
-      put_tag(out, number, WireType::kLengthDelimited);
-      put_varint(out, s.size());
-      out.append(s.data(), s.size());
-    }
-    return;
-  }
-  // Packed scalars: one length-delimited run holding every element.
-  ByteBuffer scratch;
-  for (uint64_t i = 0; i < count; ++i) {
-    encode_scalar_payload(base + i * stride, efd, fd.pb_field, scratch);
-  }
-  put_tag(out, number, WireType::kLengthDelimited);
-  put_varint(out, scratch.size());
-  out.append(scratch.data(), scratch.size());
+struct EncodeOp;
+
+/// How one scalar type goes on the wire, instantiated per (C++ type, wire
+/// encoding) pair and picked when the plan compiles, so the passes make one
+/// indirect call per scalar instead of switching on kind, size and flags.
+struct ScalarCodec {
+  /// Payload bytes of a field holding the value at `p`; 0 when the value
+  /// is zero, which proto3 omits.
+  size_t (*field_size)(const uint8_t* p);
+  /// Tag and payload of a field holding the value at `p`; nothing when the
+  /// value is zero.
+  uint8_t* (*write_field)(uint8_t* dst, const uint8_t* p, const EncodeOp& op);
+  /// Payload bytes of a packed element (zeros included).
+  size_t (*element_size)(const uint8_t* p);
+  uint8_t* (*write_element)(uint8_t* dst, const uint8_t* p);
+  /// The value widened to int64 (array count fields).
+  int64_t (*as_int)(const uint8_t* p);
+  size_t fixed_width;  // 4 or 8 for fixed-width wire encodings, 0 for varints
+  WireType wire_type;
+};
+
+struct EncodeMessage;
+
+/// One protobuf field of a message with everything the encoder needs
+/// resolved at compile time.
+struct EncodeOp {
+  enum class Kind : uint8_t {
+    kScalar,    // fixed-size scalar, omitted when zero
+    kString,    // char*, omitted when empty
+    kMessage,   // inline struct, omitted when its encoding is empty
+    kPacked,    // repeated scalar: one packed length-delimited run
+    kStrings,   // repeated string: one occurrence per element
+    kMessages,  // repeated message: one occurrence per element
+  };
+  Kind kind = Kind::kScalar;
+  uint8_t tag_len = 0;
+  uint8_t tag[5] = {};            // pre-encoded key: number << 3 | wire type
+  uint32_t offset = 0;            // field offset in the record
+  uint32_t count_offset = 0;      // repeated: count field offset
+  uint32_t stride = 0;            // repeated: element stride
+  const ScalarCodec* scalar = nullptr;  // kScalar, or the kPacked element
+  const ScalarCodec* count = nullptr;   // repeated: the count field
+  const EncodeMessage* sub = nullptr;   // kMessage / kMessages
+  const FieldDescriptor* fd = nullptr;  // for diagnostics; owned by the format
+};
+
+struct EncodeMessage {
+  std::vector<EncodeOp> ops;
+};
+
+/// Every compiled message of one plan. A format reached along several
+/// paths compiles once; a deque keeps the ops' sub pointers stable.
+struct EncodeProgram {
+  FormatPtr fmt;  // owns every FieldDescriptor the ops point at
+  std::deque<EncodeMessage> messages;  // front() is the root
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::EncodeMessage;
+using detail::EncodeOp;
+using detail::EncodeProgram;
+using detail::ScalarCodec;
+
+template <typename T>
+T load_as(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-void encode_message_impl(const void* record, const FormatDescriptor& fmt, ByteBuffer& out,
-                         int depth) {
+uint8_t* write_tag(uint8_t* dst, const EncodeOp& op) {
+  for (uint8_t i = 0; i < op.tag_len; ++i) dst[i] = op.tag[i];
+  return dst + op.tag_len;
+}
+
+enum class Wire : uint8_t { kVarint, kZigzag, kFixed32, kFixed64, kFloat, kDouble };
+
+/// The ScalarCodec functions for C++ type T (as stored in the record) on
+/// wire encoding W. Integers widen to int64 first (sign- or zero-extended
+/// by T), so narrow negatives become 10-byte varints and fixed32 carries
+/// the low 32 bits, exactly as pbio::read_scalar_i64 widens them.
+template <typename T, Wire W>
+struct Codec {
+  static constexpr size_t kWidth = W == Wire::kFixed32 || W == Wire::kFloat   ? 4
+                                   : W == Wire::kFixed64 || W == Wire::kDouble ? 8
+                                                                               : 0;
+
+  static bool is_zero(const uint8_t* p) { return load_as<T>(p) == T{0}; }  // -0.0 too
+
+  static int64_t as_int(const uint8_t* p) { return static_cast<int64_t>(load_as<T>(p)); }
+
+  static uint64_t varint_value(const uint8_t* p) {
+    const int64_t v = as_int(p);
+    return W == Wire::kZigzag ? zigzag_encode(v) : static_cast<uint64_t>(v);
+  }
+
+  static size_t element_size(const uint8_t* p) {
+    if constexpr (kWidth != 0) {
+      return kWidth;
+    } else {
+      return varint_size(varint_value(p));
+    }
+  }
+
+  static size_t field_size(const uint8_t* p) { return is_zero(p) ? 0 : element_size(p); }
+
+  static uint8_t* write_element(uint8_t* dst, const uint8_t* p) {
+    if constexpr (W == Wire::kFloat) {
+      // A NaN goes out quieted (quiet bit set), as a float -> double ->
+      // float conversion leaves it; every other value keeps its bits.
+      auto bits = load_as<uint32_t>(p);
+      if ((bits & 0x7F800000u) == 0x7F800000u && (bits & 0x007FFFFFu) != 0) bits |= 0x00400000u;
+      std::memcpy(dst, &bits, 4);
+    } else if constexpr (W == Wire::kDouble) {
+      std::memcpy(dst, p, 8);
+    } else if constexpr (W == Wire::kFixed32) {
+      const auto v = static_cast<uint32_t>(as_int(p));
+      std::memcpy(dst, &v, 4);
+    } else if constexpr (W == Wire::kFixed64) {
+      const auto v = static_cast<uint64_t>(as_int(p));
+      std::memcpy(dst, &v, 8);
+    } else {
+      return write_varint(dst, varint_value(p));
+    }
+    return dst + kWidth;
+  }
+
+  static uint8_t* write_field(uint8_t* dst, const uint8_t* p, const EncodeOp& op) {
+    return is_zero(p) ? dst : write_element(write_tag(dst, op), p);
+  }
+
+  static constexpr ScalarCodec kCodec{
+      &field_size, &write_field, &element_size, &write_element, &as_int, kWidth,
+      kWidth == 4 ? WireType::kFixed32 : kWidth == 8 ? WireType::kFixed64 : WireType::kVarint};
+};
+
+template <typename T>
+const ScalarCodec* int_codec(uint32_t pb_flags) {
+  if ((pb_flags & pbio::kPbFixed) != 0) {
+    if constexpr (sizeof(T) == 8) {
+      return &Codec<T, Wire::kFixed64>::kCodec;
+    } else {
+      return &Codec<T, Wire::kFixed32>::kCodec;
+    }
+  }
+  if ((pb_flags & pbio::kPbZigzag) != 0) return &Codec<T, Wire::kZigzag>::kCodec;
+  return &Codec<T, Wire::kVarint>::kCodec;
+}
+
+/// The codec of a scalar (kind, size) with the pb flag bits `pb_flags`.
+/// Fixed beats zigzag when a descriptor carries both; floats are always
+/// fixed-width.
+const ScalarCodec* codec_of(FieldKind kind, uint32_t size, uint32_t pb_flags) {
+  switch (kind) {
+    case FieldKind::kInt:
+      switch (size) {
+        case 1: return int_codec<int8_t>(pb_flags);
+        case 2: return int_codec<int16_t>(pb_flags);
+        case 4: return int_codec<int32_t>(pb_flags);
+        default: return int_codec<int64_t>(pb_flags);
+      }
+    case FieldKind::kUInt:
+      switch (size) {
+        case 1: return int_codec<uint8_t>(pb_flags);
+        case 2: return int_codec<uint16_t>(pb_flags);
+        case 4: return int_codec<uint32_t>(pb_flags);
+        default: return int_codec<uint64_t>(pb_flags);
+      }
+    case FieldKind::kChar:
+      return int_codec<uint8_t>(pb_flags);
+    case FieldKind::kEnum:
+      return int_codec<int32_t>(pb_flags);
+    case FieldKind::kFloat:
+      return size == 4 ? &Codec<float, Wire::kFloat>::kCodec : &Codec<double, Wire::kDouble>::kCodec;
+    default:
+      throw FormatError("field kind " + std::string(pbio::field_kind_name(kind)) +
+                        " is not a protobuf scalar");
+  }
+}
+
+const char* string_at(const uint8_t* field) { return load_as<const char*>(field); }
+
+size_t string_length(const uint8_t* field) {
+  const char* s = string_at(field);
+  return s == nullptr ? 0 : std::strlen(s);
+}
+
+/// Element count of a repeated field. A count <= 0 is an empty array
+/// (pbio::Encoder's rule), so a negative count can never walk off the
+/// elements; a null array with a positive count is a FormatError.
+uint64_t repeated_count(const uint8_t* record, const EncodeOp& op, const uint8_t** base) {
+  const int64_t count = op.count->as_int(record + op.count_offset);
+  if (count <= 0) return 0;
+  *base = load_as<const uint8_t*>(record + op.offset);
+  if (*base == nullptr) {
+    throw FormatError("dynamic array '" + op.fd->name + "' is null but count is " +
+                      std::to_string(count));
+  }
+  return static_cast<uint64_t>(count);
+}
+
+using CompiledMessages = std::unordered_map<const FormatDescriptor*, const EncodeMessage*>;
+
+const EncodeMessage* compile_message(const FormatDescriptor& fmt, EncodeProgram& program,
+                                     CompiledMessages& compiled) {
+  if (auto it = compiled.find(&fmt); it != compiled.end()) return it->second;
+  EncodeMessage& m = program.messages.emplace_back();
+  compiled.emplace(&fmt, &m);
+  for (const auto& fd : fmt.fields()) {
+    if (fd.pb_field == 0) continue;  // implied length fields
+    EncodeOp op;
+    op.fd = &fd;
+    op.offset = fd.offset;
+    WireType wt = WireType::kLengthDelimited;
+    switch (fd.kind) {
+      case FieldKind::kString:
+        op.kind = EncodeOp::Kind::kString;
+        break;
+      case FieldKind::kStruct:
+        op.kind = EncodeOp::Kind::kMessage;
+        op.sub = compile_message(*fd.element_format, program, compiled);
+        break;
+      case FieldKind::kDynArray: {
+        const FieldDescriptor* length_fd = fmt.find_field(fd.length_field);
+        if (length_fd == nullptr) {
+          throw FormatError("dynamic array '" + fd.name + "' has no length field");
+        }
+        op.count_offset = length_fd->offset;
+        op.count = codec_of(length_fd->kind, length_fd->size, 0);
+        op.stride = fd.element_stride();
+        if (fd.element_format) {
+          op.kind = EncodeOp::Kind::kMessages;
+          op.sub = compile_message(*fd.element_format, program, compiled);
+        } else if (fd.element_kind == FieldKind::kString) {
+          op.kind = EncodeOp::Kind::kStrings;
+        } else {
+          op.kind = EncodeOp::Kind::kPacked;
+          op.scalar = codec_of(fd.element_kind, fd.element_size, fd.pb_field);
+        }
+        break;
+      }
+      default:
+        op.kind = EncodeOp::Kind::kScalar;
+        op.scalar = codec_of(fd.kind, fd.size, fd.pb_field);
+        wt = op.scalar->wire_type;
+        break;
+    }
+    const uint64_t key = (static_cast<uint64_t>(fd.pb_number()) << 3) | static_cast<uint64_t>(wt);
+    op.tag_len = static_cast<uint8_t>(write_varint(op.tag, key) - op.tag);
+    m.ops.push_back(op);
+  }
+  return &m;
+}
+
+size_t measure_message(const EncodeMessage& m, const uint8_t* record,
+                       std::vector<size_t>& lengths, int depth);
+
+/// Measure one submessage into the next pre-order slot. An empty
+/// submessage keeps its slot (0) but drops its descendants' slots: the
+/// write pass never descends into it.
+size_t measure_submessage(const EncodeMessage& m, const uint8_t* record,
+                          std::vector<size_t>& lengths, int depth) {
+  const size_t slot = lengths.size();
+  lengths.push_back(0);
+  const size_t n = measure_message(m, record, lengths, depth);
+  if (n == 0) {
+    lengths.resize(slot + 1);
+  } else {
+    lengths[slot] = n;
+  }
+  return n;
+}
+
+/// Size pass: the encoded size of `record`. Every submessage, string and
+/// varint-packed run length goes into `lengths` in pre-order, so the write
+/// pass neither re-measures nor re-scans strings.
+size_t measure_message(const EncodeMessage& m, const uint8_t* record,
+                       std::vector<size_t>& lengths, int depth) {
   if (depth > static_cast<int>(FormatDescriptor::kMaxNesting)) {
     throw FormatError("pb message nesting exceeds depth cap");
   }
-  for (const auto& fd : fmt.fields()) {
-    if (fd.pb_field == 0) continue;  // implied length fields
-    uint32_t number = fd.pb_number();
-    switch (fd.kind) {
-      case FieldKind::kString: {
-        std::string_view s = pbio::read_string_field(record, fd);
-        if (s.empty()) break;  // proto3: empty string omitted
-        put_tag(out, number, WireType::kLengthDelimited);
-        put_varint(out, s.size());
-        out.append(s.data(), s.size());
+  size_t n = 0;
+  for (const EncodeOp& op : m.ops) {
+    const uint8_t* field = record + op.offset;
+    switch (op.kind) {
+      case EncodeOp::Kind::kScalar: {
+        const size_t len = op.scalar->field_size(field);
+        if (len != 0) n += op.tag_len + len;
         break;
       }
-      case FieldKind::kStruct: {
-        ByteBuffer scratch;
-        encode_message_impl(static_cast<const uint8_t*>(record) + fd.offset,
-                            *fd.element_format, scratch, depth + 1);
-        if (scratch.empty()) break;  // proto3: all-default submessage omitted
-        put_tag(out, number, WireType::kLengthDelimited);
-        put_varint(out, scratch.size());
-        out.append(scratch.data(), scratch.size());
+      case EncodeOp::Kind::kString: {
+        const size_t len = string_length(field);
+        lengths.push_back(len);
+        if (len != 0) n += op.tag_len + varint_size(len) + len;
         break;
       }
-      case FieldKind::kDynArray: {
-        encode_repeated(record, fmt, fd, out, depth);
+      case EncodeOp::Kind::kMessage: {
+        const size_t len = measure_submessage(*op.sub, field, lengths, depth + 1);
+        if (len != 0) n += op.tag_len + varint_size(len) + len;
         break;
       }
-      default: {
-        if (fd.kind == FieldKind::kFloat) {
-          if (pbio::read_scalar_f64(record, fd) == 0.0) break;  // proto3 zero omitted
-        } else {
-          if (pbio::read_scalar_i64(record, fd) == 0) break;
+      case EncodeOp::Kind::kPacked: {
+        const uint8_t* base = nullptr;
+        const uint64_t count = repeated_count(record, op, &base);
+        if (count == 0) break;  // proto3: empty repeated field omitted
+        size_t run = op.scalar->fixed_width * count;
+        if (run == 0) {
+          for (uint64_t i = 0; i < count; ++i) run += op.scalar->element_size(base + i * op.stride);
+          lengths.push_back(run);
         }
-        put_tag(out, number, scalar_wire_type(fd.kind, fd.size, fd.pb_field));
-        encode_scalar_payload(record, fd, fd.pb_field, out);
+        n += op.tag_len + varint_size(run) + run;
+        break;
+      }
+      case EncodeOp::Kind::kStrings: {
+        const uint8_t* base = nullptr;
+        const uint64_t count = repeated_count(record, op, &base);
+        for (uint64_t i = 0; i < count; ++i) {
+          const size_t len = string_length(base + i * op.stride);
+          lengths.push_back(len);
+          n += op.tag_len + varint_size(len) + len;
+        }
+        break;
+      }
+      case EncodeOp::Kind::kMessages: {
+        // Every element is emitted, empty ones included: the occurrence
+        // count is the element count on the wire.
+        const uint8_t* base = nullptr;
+        const uint64_t count = repeated_count(record, op, &base);
+        for (uint64_t i = 0; i < count; ++i) {
+          const size_t len = measure_submessage(*op.sub, base + i * op.stride, lengths, depth + 1);
+          n += op.tag_len + varint_size(len) + len;
+        }
         break;
       }
     }
   }
+  return n;
+}
+
+uint8_t* write_string(uint8_t* dst, const EncodeOp& op, const uint8_t* field, size_t len) {
+  dst = write_varint(write_tag(dst, op), len);
+  if (len != 0) std::memcpy(dst, string_at(field), len);
+  return dst + len;
+}
+
+/// Write pass: the bytes measure_message sized, consuming its lengths in
+/// the same pre-order. Nothing here can fail; the size pass checked it all.
+uint8_t* write_message(const EncodeMessage& m, const uint8_t* record, const size_t*& length,
+                       uint8_t* dst) {
+  for (const EncodeOp& op : m.ops) {
+    const uint8_t* field = record + op.offset;
+    switch (op.kind) {
+      case EncodeOp::Kind::kScalar:
+        dst = op.scalar->write_field(dst, field, op);
+        break;
+      case EncodeOp::Kind::kString: {
+        const size_t len = *length++;
+        if (len != 0) dst = write_string(dst, op, field, len);
+        break;
+      }
+      case EncodeOp::Kind::kMessage: {
+        const size_t len = *length++;
+        if (len == 0) break;
+        dst = write_varint(write_tag(dst, op), len);
+        dst = write_message(*op.sub, field, length, dst);
+        break;
+      }
+      case EncodeOp::Kind::kPacked: {
+        const uint8_t* base = nullptr;
+        const uint64_t count = repeated_count(record, op, &base);
+        if (count == 0) break;
+        const size_t width = op.scalar->fixed_width;
+        const size_t run = width != 0 ? width * count : *length++;
+        dst = write_varint(write_tag(dst, op), run);
+        for (uint64_t i = 0; i < count; ++i) {
+          dst = op.scalar->write_element(dst, base + i * op.stride);
+        }
+        break;
+      }
+      case EncodeOp::Kind::kStrings: {
+        const uint8_t* base = nullptr;
+        const uint64_t count = repeated_count(record, op, &base);
+        for (uint64_t i = 0; i < count; ++i) {
+          dst = write_string(dst, op, base + i * op.stride, *length++);
+        }
+        break;
+      }
+      case EncodeOp::Kind::kMessages: {
+        const uint8_t* base = nullptr;
+        const uint64_t count = repeated_count(record, op, &base);
+        for (uint64_t i = 0; i < count; ++i) {
+          const size_t len = *length++;
+          dst = write_varint(write_tag(dst, op), len);
+          if (len != 0) dst = write_message(*op.sub, base + i * op.stride, length, dst);
+        }
+        break;
+      }
+    }
+  }
+  return dst;
 }
 
 }  // namespace
@@ -489,15 +783,34 @@ EncodePlan::EncodePlan(FormatPtr fmt) : fmt_(std::move(fmt)) {
   if (!pbuf_encodable(*fmt_, &why)) {
     throw FormatError("format '" + fmt_->name() + "' has no protobuf mapping: " + why);
   }
+  auto program = std::make_shared<EncodeProgram>();
+  program->fmt = fmt_;
+  CompiledMessages compiled;
+  compile_message(*fmt_, *program, compiled);
+  program_ = std::move(program);
 }
 
-size_t EncodePlan::encode(const void* record, ByteBuffer& out) const {
-  size_t before = out.size();
-  encode_message_impl(record, *fmt_, out, 0);
-  size_t n = out.size() - before;
+size_t EncodePlan::measure(const void* record, EncodeScratch& scratch) const {
+  scratch.lengths_.clear();
+  return measure_message(program_->messages.front(), static_cast<const uint8_t*>(record),
+                         scratch.lengths_, 0);
+}
+
+void EncodePlan::write(const void* record, const EncodeScratch& scratch, uint8_t* dst) const {
+  const size_t* length = scratch.lengths_.data();
+  const uint8_t* end = write_message(program_->messages.front(),
+                                     static_cast<const uint8_t*>(record), length, dst);
+  const auto n = static_cast<size_t>(end - dst);
   BridgeMetrics& m = bridge_metrics();
   m.encoded.inc();
   m.encode_bytes.record(n);
+}
+
+size_t EncodePlan::encode(const void* record, ByteBuffer& out) const {
+  thread_local EncodeScratch scratch;
+  const size_t n = measure(record, scratch);
+  const size_t at = out.append_zeros(n);
+  write(record, scratch, out.data() + at);
   return n;
 }
 

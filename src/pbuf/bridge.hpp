@@ -11,10 +11,18 @@
 // scalars, empty strings, empty submessages, and empty arrays are
 // omitted; repeated elements are always emitted, zeros included, so
 // element counts survive). Round trips are value-identical because the
-// decoder zero-fills records before applying field presence.
+// decoder zero-fills records before applying field presence. An array
+// whose count field reads <= 0 encodes as empty, as in pbio::Encoder.
 //
-// Both plans precompile a field-number dispatch table per message, so the
-// per-frame work is table lookups, not name/number searches.
+// DecodePlan precompiles a field-number dispatch table per message, so the
+// per-frame work is table lookups, not name/number searches. EncodePlan
+// compiles each message into a flat op table (offsets, pre-encoded tag
+// bytes, a scalar codec chosen by kind, size and zigzag/fixed flags,
+// count-field offsets, element strides, sub-plans) and encodes in two
+// passes: a size pass that records every submessage, string and packed-run
+// length in pre-order into an EncodeScratch, then a write pass that emits
+// raw bytes into a buffer sized exactly once. No pass allocates per
+// submessage; a reused scratch makes encodes allocation-free.
 //
 // Conservation law (checked by tools/morph-stat): every frame handed to
 // DecodePlan::decode bumps morph_pbuf_frames_in_total and then exactly one
@@ -34,6 +42,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/arena.hpp"
 #include "common/bytes.hpp"
@@ -45,6 +54,7 @@ namespace morph::pbuf {
 
 namespace detail {
 struct MessageTable;
+struct EncodeProgram;
 }
 
 /// The process-wide morph_pbuf_* metrics, looked up once (registry
@@ -86,6 +96,16 @@ class DecodePlan {
   std::shared_ptr<const detail::MessageTable> table_;
 };
 
+/// Lengths EncodePlan::measure records for EncodePlan::write: one per
+/// submessage, string and varint-packed run, in pre-order. Keep one per
+/// encoding thread; once it has grown to the largest record it sees,
+/// encodes stop allocating.
+class EncodeScratch {
+ private:
+  friend class EncodePlan;
+  std::vector<size_t> lengths_;
+};
+
 /// Encode native records of one format as protobuf payloads.
 class EncodePlan {
  public:
@@ -93,13 +113,25 @@ class EncodePlan {
   explicit EncodePlan(pbio::FormatPtr fmt);
 
   /// Append the protobuf encoding of `record` to `out`; returns the number
-  /// of bytes appended.
+  /// of bytes appended. Both passes, with a per-thread scratch; `out`
+  /// grows at most once. On FormatError `out` is left unchanged.
   size_t encode(const void* record, ByteBuffer& out) const;
+
+  /// Size pass: the exact encoded size of `record`. Throws FormatError
+  /// (nesting beyond FormatDescriptor::kMaxNesting, a null array with a
+  /// positive count) before anything is written.
+  size_t measure(const void* record, EncodeScratch& scratch) const;
+
+  /// Write pass: emit exactly measure(record, scratch) bytes at `dst`.
+  /// `record` must not change between the two calls. Bumps
+  /// morph_pbuf_encoded_total and morph_pbuf_encode_bytes.
+  void write(const void* record, const EncodeScratch& scratch, uint8_t* dst) const;
 
   const pbio::FormatPtr& format() const { return fmt_; }
 
  private:
   pbio::FormatPtr fmt_;
+  std::shared_ptr<const detail::EncodeProgram> program_;
 };
 
 }  // namespace morph::pbuf

@@ -9,6 +9,7 @@
 // contain the data. See docs/PBUF.md for the schema subset this backs.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -48,7 +49,21 @@ void put_fixed32(ByteBuffer& out, uint32_t v);
 void put_fixed64(ByteBuffer& out, uint64_t v);
 
 /// Serialized size of a varint, for length pre-computation.
-size_t varint_size(uint64_t v);
+inline size_t varint_size(uint64_t v) {
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+
+/// Write a base-128 varint at `p` (varint_size(v) bytes); returns the byte
+/// after it. The raw-pointer twin of put_varint, for encoders that size
+/// their output first.
+inline uint8_t* write_varint(uint8_t* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(v);
+  return p;
+}
 
 /// Bounds-checked protobuf reader over a byte range. Thin wrapper around
 /// the raw bytes (not ByteReader: protobuf scalars are not the fixed-width

@@ -7,15 +7,19 @@
 
 namespace morph::transport {
 
-void write_frame(ByteBuffer& out, FrameType type, const void* payload, size_t size,
-                 uint64_t trace_id) {
-  const size_t header = trace_id != 0 ? 1 + 8 : 1;
+void write_frame_header(ByteBuffer& out, FrameType type, size_t size, uint64_t trace_id) {
+  const size_t header = frame_header_size(trace_id) - 4;
   if (size + header > kMaxFrameBytes) throw TransportError("frame too large");
   out.append_u32(static_cast<uint32_t>(size + header));
   uint8_t type_byte = static_cast<uint8_t>(type);
   if (trace_id != 0) type_byte |= kFrameTraceBit;
   out.append_u8(type_byte);
   if (trace_id != 0) out.append_u64(trace_id);
+}
+
+void write_frame(ByteBuffer& out, FrameType type, const void* payload, size_t size,
+                 uint64_t trace_id) {
+  write_frame_header(out, type, size, trace_id);
   if (size > 0) out.append(payload, size);
 }
 

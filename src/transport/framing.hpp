@@ -57,6 +57,14 @@ constexpr size_t kMaxFrameBytes = 64u << 20;  // hostile-peer allocation cap
 void write_frame(ByteBuffer& out, FrameType type, const void* payload, size_t size,
                  uint64_t trace_id = 0);
 
+/// Bytes write_frame_header appends: the length prefix, the type byte and,
+/// for a non-zero `trace_id`, the trace header.
+constexpr size_t frame_header_size(uint64_t trace_id) { return 4 + (trace_id != 0 ? 1 + 8 : 1); }
+
+/// Append only the header of a frame whose `size` payload bytes the caller
+/// appends next — for payloads written in place into the frame buffer.
+void write_frame_header(ByteBuffer& out, FrameType type, size_t size, uint64_t trace_id = 0);
+
 /// Incremental frame decoder: feed raw bytes, pop complete frames.
 class FrameAssembler {
  public:

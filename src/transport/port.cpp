@@ -38,6 +38,19 @@ PortMetrics& port_metrics() {
   static PortMetrics* m = new PortMetrics();  // leaked: outlives all ports
   return *m;
 }
+
+/// Append the kPbufData frame of `record` to the empty `frame`: header,
+/// format fingerprint, protobuf bytes, reserved once at the exact size the
+/// plan's size pass reports and written in place.
+void write_pbuf_frame(ByteBuffer& frame, const pbuf::EncodePlan& plan, const void* record,
+                      pbuf::EncodeScratch& scratch, uint64_t trace_id) {
+  const size_t n = plan.measure(record, scratch);
+  const size_t payload = sizeof(uint64_t) + n;
+  frame.reserve(frame_header_size(trace_id) + payload);
+  write_frame_header(frame, FrameType::kPbufData, payload, trace_id);
+  frame.append_u64(plan.format()->fingerprint());
+  plan.write(record, scratch, frame.data() + frame.append_zeros(n));
+}
 }  // namespace
 
 MessagePort::MessagePort(Link& link, core::Receiver* receiver)
@@ -164,11 +177,8 @@ void MessagePort::send_record_pbuf(const pbio::FormatPtr& fmt, const void* recor
     it = pbuf_encoders_.emplace(fmt->fingerprint(), std::make_unique<pbuf::EncodePlan>(fmt))
              .first;
   }
-  ByteBuffer msg;
-  msg.append_u64(fmt->fingerprint());
-  it->second->encode(record, msg);
   ByteBuffer frame;
-  write_frame(frame, FrameType::kPbufData, msg.data(), msg.size(), trace_id);
+  write_pbuf_frame(frame, *it->second, record, pbuf_scratch_, trace_id);
   link_.send(frame);
   ++stats_.data_sent;
   ++stats_.pbuf_sent;
@@ -352,13 +362,10 @@ void MessagePort::deliver_pbuf(const Frame& frame) {
   receiver_->process_record(fmt, record, rx_arena_);
 }
 
-SharedPayload make_shared_pbuf_frame(uint64_t fingerprint, const void* msg, size_t size,
-                                     uint64_t trace_id) {
-  ByteBuffer payload;
-  payload.append_u64(fingerprint);
-  payload.append(msg, size);
+SharedPayload make_shared_pbuf_frame(const pbuf::EncodePlan& plan, const void* record,
+                                     pbuf::EncodeScratch& scratch, uint64_t trace_id) {
   auto frame = std::make_shared<ByteBuffer>();
-  write_frame(*frame, FrameType::kPbufData, payload.data(), payload.size(), trace_id);
+  write_pbuf_frame(*frame, plan, record, scratch, trace_id);
   return frame;
 }
 

@@ -116,6 +116,7 @@ class MessagePort {
   std::unordered_map<uint64_t, std::unique_ptr<pbuf::EncodePlan>> pbuf_encoders_;
   std::unordered_map<uint64_t, std::unique_ptr<pbuf::DecodePlan>> pbuf_decoders_;
   std::unordered_map<uint64_t, bool> pbuf_sendable_;  // pbuf_encodable, cached
+  pbuf::EncodeScratch pbuf_scratch_;
   std::function<void(const uint8_t*, size_t)> on_control_;
   MetaPublisher meta_publisher_;
   RecordArena rx_arena_;
@@ -130,11 +131,13 @@ class MessagePort {
 /// header, as in send_record.
 SharedPayload make_shared_frame(const void* msg, size_t size, uint64_t trace_id = 0);
 
-/// Build a complete kPbufData frame around an already protobuf-encoded
-/// payload: the fan-out group's shared encode for pbuf-speaking sinks.
-/// `fingerprint` names the format the payload was encoded from (the
-/// receiving port resolves it against its learned registry).
-SharedPayload make_shared_pbuf_frame(uint64_t fingerprint, const void* msg, size_t size,
-                                     uint64_t trace_id = 0);
+/// Protobuf-encode `record` straight into a complete kPbufData frame: the
+/// fan-out group's shared encode for pbuf-speaking sinks. The payload is
+/// the fingerprint of plan.format() (the receiving port resolves it against
+/// its learned registry) followed by the protobuf bytes. The plan's size
+/// pass sizes the frame, which is allocated once at its exact size and
+/// written in place; a FormatError from that pass leaves nothing sent.
+SharedPayload make_shared_pbuf_frame(const pbuf::EncodePlan& plan, const void* record,
+                                     pbuf::EncodeScratch& scratch, uint64_t trace_id = 0);
 
 }  // namespace morph::transport

@@ -20,6 +20,7 @@ BASE = {
     ("bench_fig10_morphing", "10KB", "XSLT/morph"): 50.0,
     ("bench_fig10_morphing", "4-hop", "hop/fused"): 2.0,
     ("bench_fanout", "1k x 3", "morphs_evt"): 2.0,
+    ("bench_pbuf", "10KB", "Pbuf/PBIO"): 10.0,
 }
 
 
@@ -59,6 +60,11 @@ class BenchCompareKinds(unittest.TestCase):
 
     def test_hop_fused_is_a_ratio(self):
         self.assertEqual(self.compare({"hop/fused": 1.6}), 1)  # -20%
+
+    def test_pbuf_pbio_regresses_when_it_rises(self):
+        # The bridge's cost over PBIO's: a speed-up lowers it.
+        self.assertEqual(self.compare({"Pbuf/PBIO": 8.0}), 0)   # -20%
+        self.assertEqual(self.compare({"Pbuf/PBIO": 12.0}), 1)  # +20%
 
     def test_morphs_evt_is_an_exact_count(self):
         self.assertEqual(self.compare({"morphs_evt": 3.0}), 1)

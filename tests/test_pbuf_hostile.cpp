@@ -4,18 +4,27 @@
 // malicious payload must never crash the receiver, drive unbounded work,
 // or break the conservation law frames_in == decoded + rejected. Same
 // idiom as the descriptor fuzz in test_wire_hostile.cpp: deterministic
-// Rng, parsed + rejected == N accounting.
+// Rng, parsed + rejected == N accounting. The encode side meets hostile
+// records too: a peer transform can store any count in an array's count
+// field, and a negative one must encode as an empty array.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/fanout.hpp"
+#include "core/receiver.hpp"
+#include "echo/fanout.hpp"
+#include "echo/messages.hpp"
 #include "pbio/randgen.hpp"
 #include "pbio/record.hpp"
 #include "pbuf/bridge.hpp"
 #include "pbuf/schema.hpp"
 #include "pbuf/wire.hpp"
+#include "transport/link.hpp"
+#include "transport/port.hpp"
 
 namespace morph::pbuf {
 namespace {
@@ -273,6 +282,103 @@ TEST(PbufFuzz, EmbeddedNulInStringRejected) {
   put_varint(wire, 3);
   wire.append("a\0b", 3);
   EXPECT_THROW(dec.decode(wire.data(), wire.size(), arena), DecodeError);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile records on the encode side
+// ---------------------------------------------------------------------------
+
+/// A v1 ChannelOpenResponse with four members on each list.
+struct V1Record {
+  RecordArena arena;
+  FormatPtr fmt = annotate_field_numbers(*echo::channel_open_response_v1_format());
+  echo::ChannelOpenResponseV1 rec{};
+  V1Record() {
+    Rng rng(5);
+    echo::ResponseWorkload w;
+    w.members = 4;
+    rec = *echo::transform_v2_to_v1_reference(*echo::make_response_v2(w, rng, arena), arena);
+  }
+};
+
+std::vector<uint8_t> encode_bytes(const FormatPtr& fmt, const void* rec) {
+  ByteBuffer out;
+  EncodePlan(fmt).encode(rec, out);
+  return {out.data(), out.data() + out.size()};
+}
+
+TEST(PbufEncodeHostile, NegativeArrayCountEncodesAsEmpty) {
+  // pbio::Encoder's rule: count <= 0 is an empty array. The array pointers
+  // stay valid, so reading even one element past a negative count would be
+  // the bug, not a null dereference.
+  V1Record v1;
+  echo::ChannelOpenResponseV1 negative = v1.rec;
+  negative.src_count = -1;
+  negative.sink_count = std::numeric_limits<int32_t>::min();
+  echo::ChannelOpenResponseV1 empty = v1.rec;
+  empty.src_count = 0;
+  empty.sink_count = 0;
+  ASSERT_NE(encode_bytes(v1.fmt, &empty), encode_bytes(v1.fmt, &v1.rec));
+  EXPECT_EQ(encode_bytes(v1.fmt, &negative), encode_bytes(v1.fmt, &empty));
+
+  // Packed scalars and repeated strings follow the same rule.
+  FormatPtr f = annotate_field_numbers(*FormatBuilder("R")
+                                            .add_int("xs_count", 4)
+                                            .add_dyn_array("xs", pbio::FieldKind::kInt, 4,
+                                                           "xs_count")
+                                            .add_int("ss_count", 8)
+                                            .add_dyn_array("ss", pbio::FieldKind::kString, 8,
+                                                           "ss_count")
+                                            .build());
+  RecordArena arena;
+  void* rec = pbio::alloc_record(*f, arena);
+  RecordRef r(rec, f);
+  pbio::grow_dyn_array(rec, *f->find_field("xs"), arena, 0);
+  pbio::grow_dyn_array(rec, *f->find_field("ss"), arena, 0);
+  r.set_int("xs_count", -5);
+  r.set_int("ss_count", -1);
+  EXPECT_TRUE(encode_bytes(f, rec).empty());
+}
+
+TEST(PbufEncodeHostile, NegativeArrayCountThroughGroupPublisherDeliversEmptyArray) {
+  // A broker with a protobuf sink encodes whatever the morph left in the
+  // record; a negative count must reach the sink as an empty list.
+  V1Record v1;
+  echo::ChannelOpenResponseV1 negative = v1.rec;
+  negative.src_count = -1;
+
+  core::FanoutPlanner planner;
+  planner.learn_format(v1.fmt);
+  echo::GroupPublisher publisher(planner);
+  transport::InprocPair pair;
+  core::Receiver rx;
+  int delivered = 0;
+  int64_t src_count = -1, member_count = 0;
+  rx.register_handler(v1.fmt, [&](const core::Delivery& d) {
+    ++delivered;
+    RecordRef got(d.record, v1.fmt);
+    src_count = got.get_int("src_count");
+    member_count = got.get_int("member_count");
+  });
+  transport::MessagePort broker(pair.a(), nullptr);
+  transport::MessagePort sink(pair.b(), &rx);
+
+  echo::GroupSnapshot snapshot;
+  snapshot.groups.push_back({v1.fmt->fingerprint(), echo::SinkEncoding::kPbuf, {1}});
+  snapshot.total_sinks = 1;
+  size_t fallbacks = 0;
+  echo::PublishCounts counts = publisher.publish(
+      v1.fmt, &negative, snapshot, [&](echo::SinkId) { return &broker; },
+      [&](echo::SinkId) { ++fallbacks; });
+  pair.pump();
+
+  EXPECT_EQ(counts.pbuf_encodes, 1u);
+  EXPECT_EQ(counts.deliveries, 1u);
+  EXPECT_EQ(fallbacks, 0u);
+  EXPECT_EQ(sink.stats().pbuf_rejects, 0u);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(src_count, 0);
+  EXPECT_EQ(member_count, v1.rec.member_count);
 }
 
 }  // namespace
