@@ -15,15 +15,12 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 /// Process-wide planner metrics, resolved once (registry pointers are valid
 /// forever; metrics are never erased).
 struct PlannerMetrics {
-  obs::Counter& hits = obs::metrics().counter("morph_fanout_plans_total{result=\"hit\"}");
-  obs::Counter& built = obs::metrics().counter("morph_fanout_plans_total{result=\"built\"}");
   obs::Counter& unreachable =
       obs::metrics().counter("morph_fanout_plans_total{result=\"unreachable\"}");
   obs::Counter& fused = obs::metrics().counter("morph_fanout_chain_fusion_total{result=\"fused\"}");
   obs::Counter& bailout =
       obs::metrics().counter("morph_fanout_chain_fusion_total{result=\"bailout\"}");
   obs::Counter& verify_rejected = obs::metrics().counter("morph_fanout_verify_rejected_total");
-  obs::Counter& flushes = obs::metrics().counter("morph_fanout_cache_flushes_total");
   obs::Histogram& build_ns = obs::metrics().histogram("morph_span_ns{span=\"fanout.plan_build\"}");
 };
 
@@ -32,17 +29,6 @@ PlannerMetrics& pm() {
   return *m;
 }
 }  // namespace
-
-struct FanoutPlanner::AtomicStats {
-  std::atomic<uint64_t> plans_requested{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> plans_built{0};
-  std::atomic<uint64_t> unreachable{0};
-  std::atomic<uint64_t> chains_fused{0};
-  std::atomic<uint64_t> fusion_bailouts{0};
-  std::atomic<uint64_t> verify_rejected{0};
-  std::atomic<uint64_t> cache_flushes{0};
-};
 
 void* GroupPlan::morph(const void* wire, size_t size, RecordArena& arena) const {
   void* rec = decode_->execute(wire, size, arena);
@@ -60,16 +46,6 @@ size_t GroupPlan::encode(const void* record, ByteBuffer& out) const {
   return encoder_->encode(record, out);
 }
 
-FanoutPlanner::FanoutPlanner(FanoutPlannerOptions options)
-    : options_(options), stats_(std::make_unique<AtomicStats>()) {}
-
-FanoutPlanner::~FanoutPlanner() = default;
-
-FanoutPlanner::Shard& FanoutPlanner::shard_for(const PlanKey& key) {
-  size_t h = PlanKeyHash{}(key);
-  return shards_[h & (kShards - 1)];
-}
-
 void FanoutPlanner::learn_transform(TransformSpec spec) {
   formats_.register_format(spec.src);
   formats_.register_format(spec.dst);
@@ -80,72 +56,32 @@ void FanoutPlanner::learn_transform(TransformSpec spec) {
   // New chains may supersede cached plans (e.g. a formerly unreachable
   // target becomes reachable). Plans already handed out stay valid — they
   // are shared_ptr-owned — they are just no longer returned.
-  flush_cache();
+  cache_.flush();
 }
 
 pbio::FormatPtr FanoutPlanner::learn_format(pbio::FormatPtr fmt) {
   return formats_.register_format(std::move(fmt));
 }
 
-void FanoutPlanner::flush_cache() {
-  for (auto& shard : shards_) {
-    std::unique_lock lock(shard.mutex);
-    shard.entries.clear();
-  }
-  stats_->cache_flushes.fetch_add(1, kRelaxed);
-  pm().flushes.inc();
-}
-
 std::shared_ptr<const GroupPlan> FanoutPlanner::plan(const pbio::FormatPtr& source,
                                                      uint64_t target_fp) {
-  stats_->plans_requested.fetch_add(1, kRelaxed);
-  formats_.register_format(source);
-
-  PlanKey key{source->fingerprint(), target_fp};
-  Shard& shard = shard_for(key);
-
-  std::shared_ptr<CacheEntry> entry;
-  {
-    std::shared_lock lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) entry = it->second;
-  }
-  bool inserted = false;
-  if (entry == nullptr) {
-    std::unique_lock lock(shard.mutex);
-    auto [it, fresh] = shard.entries.try_emplace(key);
-    if (fresh) it->second = std::make_shared<CacheEntry>();
-    entry = it->second;
-    inserted = fresh;
-  }
-
-  bool built_here = false;
-  std::call_once(entry->once, [&] {
-    entry->plan = build_plan(source, target_fp);
-    built_here = true;
-  });
-  if (built_here) {
-    stats_->plans_built.fetch_add(1, kRelaxed);
-    pm().built.inc();
-    if (!entry->plan->reachable()) {
-      stats_->unreachable.fetch_add(1, kRelaxed);
+  auto build = [&](std::shared_ptr<const GroupPlan>& plan) {
+    // The first plan() of any key builds, so every source is registered
+    // before a lookup can need it; cache hits skip the registry lock.
+    formats_.register_format(source);
+    uint64_t t0 = obs::monotonic_ns();
+    plan = build_plan(source, target_fp);
+    pm().build_ns.record(obs::monotonic_ns() - t0);
+    if (!plan->reachable()) {
+      unreachable_.fetch_add(1, kRelaxed);
       pm().unreachable.inc();
     }
-  } else {
-    stats_->cache_hits.fetch_add(1, kRelaxed);
-    pm().hits.inc();
-  }
-
-  // Bound the cache: recomputable, so overflow just flushes (the hostile
-  // peer streaming fresh fingerprints costs time, not memory).
-  if (inserted && cached_plans() > options_.max_cached_plans) flush_cache();
-
-  return entry->plan;
+  };
+  return cache_.get(PlanKey{source->fingerprint(), target_fp}, build).entry->value;
 }
 
 std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr& source,
                                                            uint64_t target_fp) {
-  uint64_t t0 = obs::monotonic_ns();
   auto plan = std::make_shared<GroupPlan>();
   plan->source_ = source;
 
@@ -157,7 +93,6 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
     plan->decode_ = std::make_unique<pbio::ConversionPlan>(source, source);
     plan->encoder_ = std::make_unique<pbio::Encoder>(source);
     plan->reachable_ = true;
-    pm().build_ns.record(obs::monotonic_ns() - t0);
     return plan;
   }
 
@@ -181,7 +116,7 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
   try {
     plan->chain_ = std::make_shared<MorphChain>(*specs, copts, options_.fuse);
   } catch (const ecode::VerifyError& e) {
-    stats_->verify_rejected.fetch_add(1, kRelaxed);
+    verify_rejected_.fetch_add(1, kRelaxed);
     pm().verify_rejected.inc();
     std::ostringstream msg;
     msg << "fan-out chain for target fingerprint " << target_fp
@@ -191,10 +126,10 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
     return plan;
   }
   if (plan->chain_->fused()) {
-    stats_->chains_fused.fetch_add(1, kRelaxed);
+    chains_fused_.fetch_add(1, kRelaxed);
     pm().fused.inc();
   } else if (plan->chain_->hops() > 1) {
-    stats_->fusion_bailouts.fetch_add(1, kRelaxed);
+    fusion_bailouts_.fetch_add(1, kRelaxed);
     pm().bailout.inc();
   }
 
@@ -205,30 +140,21 @@ std::shared_ptr<const GroupPlan> FanoutPlanner::build_plan(const pbio::FormatPtr
   plan->decode_ = std::make_unique<pbio::ConversionPlan>(source, plan->chain_->src_format());
   plan->encoder_ = std::make_unique<pbio::Encoder>(plan->target_);
   plan->reachable_ = true;
-  pm().build_ns.record(obs::monotonic_ns() - t0);
   return plan;
 }
 
 FanoutPlannerStats FanoutPlanner::stats() const {
   FanoutPlannerStats s;
-  s.plans_requested = stats_->plans_requested.load(kRelaxed);
-  s.cache_hits = stats_->cache_hits.load(kRelaxed);
-  s.plans_built = stats_->plans_built.load(kRelaxed);
-  s.unreachable = stats_->unreachable.load(kRelaxed);
-  s.chains_fused = stats_->chains_fused.load(kRelaxed);
-  s.fusion_bailouts = stats_->fusion_bailouts.load(kRelaxed);
-  s.verify_rejected = stats_->verify_rejected.load(kRelaxed);
-  s.cache_flushes = stats_->cache_flushes.load(kRelaxed);
+  const auto cs = cache_.stats();
+  s.plans_requested = cs.hits + cs.builds;
+  s.cache_hits = cs.hits;
+  s.plans_built = cs.builds;
+  s.unreachable = unreachable_.load(kRelaxed);
+  s.chains_fused = chains_fused_.load(kRelaxed);
+  s.fusion_bailouts = fusion_bailouts_.load(kRelaxed);
+  s.verify_rejected = verify_rejected_.load(kRelaxed);
+  s.cache_flushes = cs.flushes;
   return s;
-}
-
-size_t FanoutPlanner::cached_plans() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard.mutex);
-    total += shard.entries.size();
-  }
-  return total;
 }
 
 }  // namespace morph::core

@@ -9,22 +9,19 @@
 // chain once, encode the morphed record once — so the broker can hand the
 // same encoded payload to every subscriber in the group.
 //
-// The cache follows the Receiver's sharded decision-cache discipline
-// (receiver.cpp): shards guarded by shared_mutex for lookup, a once_flag per
-// entry so a plan compiles exactly once under stampede, and shared_ptr
-// entries so plans handed out survive cache flushes triggered by
+// Plans live in a OnceCache (common/once_cache.hpp), the same build-once
+// cache as the Receiver's decisions: a plan compiles exactly once under
+// stampede, and plans handed out survive the flushes triggered by
 // learn_transform or overflow. plan() and GroupPlan::morph()/encode() are
 // safe to call from any thread; the planner must outlive the plans it
 // returns.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
-#include <unordered_map>
 
+#include "common/once_cache.hpp"
 #include "core/transform.hpp"
 #include "pbio/decode.hpp"
 #include "pbio/encode.hpp"
@@ -42,9 +39,6 @@ struct FanoutPlannerOptions {
   int64_t verify_fuel_limit = 1 << 20;
   /// Fuse multi-hop chains into one compiled transform (ecode/fuse.hpp).
   bool fuse = true;
-  /// Cache bound, same rationale as ReceiverOptions::max_cached_decisions:
-  /// plans are recomputable, so overflow flushes the whole cache.
-  size_t max_cached_plans = 1024;
 };
 
 /// The compiled pipeline for one fan-out group. Immutable after build;
@@ -109,8 +103,7 @@ struct FanoutPlannerStats {
 
 class FanoutPlanner {
  public:
-  explicit FanoutPlanner(FanoutPlannerOptions options = {});
-  ~FanoutPlanner();
+  explicit FanoutPlanner(FanoutPlannerOptions options = {}) : options_(options) {}
 
   /// Learn a transform (typically a declared retro-transform). Flushes the
   /// plan cache: cached plans may be stale once new chains exist. The
@@ -124,11 +117,11 @@ class FanoutPlanner {
   /// The plan for delivering `source`-format events to subscribers whose
   /// registered format has fingerprint `target_fp`. Never null; check
   /// reachable(). Concurrent callers of the same cold key block on one
-  /// build (once_flag), as in the receiver's decision cache.
+  /// build, as in the receiver's decision cache.
   std::shared_ptr<const GroupPlan> plan(const pbio::FormatPtr& source, uint64_t target_fp);
 
   FanoutPlannerStats stats() const;
-  size_t cached_plans() const;
+  size_t cached_plans() const { return cache_.size(); }
 
  private:
   struct PlanKey {
@@ -142,30 +135,22 @@ class FanoutPlanner {
       return static_cast<size_t>(h ^ (h >> 32));
     }
   };
-  struct CacheEntry {
-    std::once_flag once;
-    std::shared_ptr<const GroupPlan> plan;
-  };
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<PlanKey, std::shared_ptr<CacheEntry>, PlanKeyHash> entries;
-  };
 
-  Shard& shard_for(const PlanKey& key);
   std::shared_ptr<const GroupPlan> build_plan(const pbio::FormatPtr& source, uint64_t target_fp);
-  void flush_cache();
 
   FanoutPlannerOptions options_;
-  std::array<Shard, kShards> shards_;
+  OnceCache<PlanKey, std::shared_ptr<const GroupPlan>, PlanKeyHash> cache_{"fanout_plan"};
   /// Shared for plan builds, exclusive for learn_transform — same
   /// config-vs-build locking as the receiver.
   mutable std::shared_mutex config_mutex_;
   TransformCatalog transforms_;
   pbio::FormatRegistry formats_;
 
-  struct AtomicStats;
-  std::unique_ptr<AtomicStats> stats_;
+  // Build outcomes; hits, builds and flushes are counted by cache_.
+  std::atomic<uint64_t> unreachable_{0};
+  std::atomic<uint64_t> chains_fused_{0};
+  std::atomic<uint64_t> fusion_bailouts_{0};
+  std::atomic<uint64_t> verify_rejected_{0};
 };
 
 }  // namespace morph::core

@@ -20,9 +20,6 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 /// adds, so the mirror costs one extra add per event).
 struct RxMetrics {
   obs::Counter& messages;
-  obs::Counter& cache_hits;
-  obs::Counter& cache_misses;
-  obs::Counter& cache_flushes;
   obs::Counter& exact;
   obs::Counter& perfect;
   obs::Counter& morphed;
@@ -49,9 +46,6 @@ struct RxMetrics {
 
   RxMetrics()
       : messages(obs::metrics().counter("morph_rx_messages_total")),
-        cache_hits(obs::metrics().counter("morph_rx_cache_events_total{event=\"hit\"}")),
-        cache_misses(obs::metrics().counter("morph_rx_cache_events_total{event=\"miss\"}")),
-        cache_flushes(obs::metrics().counter("morph_rx_cache_events_total{event=\"flush\"}")),
         exact(obs::metrics().counter("morph_rx_outcome_total{outcome=\"exact\"}")),
         perfect(obs::metrics().counter("morph_rx_outcome_total{outcome=\"perfect\"}")),
         morphed(obs::metrics().counter("morph_rx_outcome_total{outcome=\"morphed\"}")),
@@ -141,7 +135,7 @@ void Receiver::register_handler(FormatPtr fmt, Handler handler) {
     std::unique_lock lock(config_mutex_);
     handlers_[fmt->fingerprint()] = std::make_shared<Handler>(std::move(handler));
   }
-  flush_cache();  // registrations invalidate cached decisions
+  cache_.flush();  // registrations invalidate cached decisions
 }
 
 void Receiver::set_default_handler(DefaultHandler handler) {
@@ -149,7 +143,7 @@ void Receiver::set_default_handler(DefaultHandler handler) {
     std::unique_lock lock(config_mutex_);
     default_handler_ = std::make_shared<DefaultHandler>(std::move(handler));
   }
-  flush_cache();
+  cache_.flush();
 }
 
 FormatPtr Receiver::learn_format(FormatPtr fmt) {
@@ -161,9 +155,7 @@ FormatPtr Receiver::learn_format(FormatPtr fmt) {
     // decision (it was previously rejected as unknown — e.g. built while
     // the format service was unreachable), so evict exactly that entry
     // instead of flushing the whole cache.
-    Shard& shard = shard_for(fp);
-    std::unique_lock lock(shard.mutex);
-    if (shard.entries.erase(fp) != 0) cached_count_.fetch_sub(1, kRelaxed);
+    cache_.erase(fp);
   }
   return out;
 }
@@ -175,7 +167,7 @@ void Receiver::learn_transform(TransformSpec spec) {
     std::unique_lock lock(config_mutex_);
     transforms_.add(std::move(spec));
   }
-  flush_cache();  // new transforms may unlock previously rejected formats
+  cache_.flush();  // new transforms may unlock previously rejected formats
 }
 
 std::vector<FormatPtr> Receiver::reader_formats(const std::string& name) const {
@@ -185,8 +177,9 @@ std::vector<FormatPtr> Receiver::reader_formats(const std::string& name) const {
 ReceiverStats Receiver::stats() const {
   ReceiverStats s;
   s.messages = stats_.messages.load(kRelaxed);
-  s.cache_hits = stats_.cache_hits.load(kRelaxed);
-  s.cache_misses = stats_.cache_misses.load(kRelaxed);
+  const DecisionCache::Stats cs = cache_.stats();
+  s.cache_hits = cs.hits;
+  s.cache_misses = cs.builds;
   s.exact = stats_.exact.load(kRelaxed);
   s.perfect = stats_.perfect.load(kRelaxed);
   s.morphed = stats_.morphed.load(kRelaxed);
@@ -196,7 +189,7 @@ ReceiverStats Receiver::stats() const {
   s.transforms_compiled = stats_.transforms_compiled.load(kRelaxed);
   s.verify_rejected = stats_.verify_rejected.load(kRelaxed);
   s.zero_copy = stats_.zero_copy.load(kRelaxed);
-  s.cache_flushes = stats_.cache_flushes.load(kRelaxed);
+  s.cache_flushes = cs.flushes;
   s.resolve_fetched = stats_.resolve_fetched.load(kRelaxed);
   s.resolve_degraded = stats_.resolve_degraded.load(kRelaxed);
   s.morph_fused = stats_.morph_fused.load(kRelaxed);
@@ -207,79 +200,31 @@ ReceiverStats Receiver::stats() const {
   return s;
 }
 
-void Receiver::flush_cache() {
-  for (Shard& shard : shards_) {
-    std::unique_lock lock(shard.mutex);
-    shard.entries.clear();
-  }
-  cached_count_.store(0, kRelaxed);
-}
-
 Receiver::EntryPtr Receiver::decide(uint64_t fingerprint) {
   uint64_t t0 = obs::monotonic_ns();
-  Shard& shard = shard_for(fingerprint);
-  EntryPtr entry;
-  {
-    std::shared_lock lock(shard.mutex);
-    auto it = shard.entries.find(fingerprint);
-    if (it != shard.entries.end()) entry = it->second;
-  }
-  if (entry == nullptr) {
-    if (cached_count_.load(kRelaxed) >= options_.max_cached_decisions) {
-      // Racy by design: concurrent overflowing threads may each flush, but
-      // a flush only costs recomputation, never correctness.
-      flush_cache();
-      stats_.cache_flushes.fetch_add(1, kRelaxed);
-      rx().cache_flushes.inc();
-    }
-    std::unique_lock lock(shard.mutex);
-    auto [it, inserted] = shard.entries.try_emplace(fingerprint);
-    if (inserted) {
-      it->second = std::make_shared<CacheEntry>();
-      cached_count_.fetch_add(1, kRelaxed);
-    }
-    entry = it->second;
-  }
-  // The expensive pipeline build runs exactly once per entry; concurrent
-  // cold arrivals for the same fingerprint serialize here — on this entry
-  // only, never on the shard or the whole cache. No shard lock is held, so
-  // other fingerprints keep flowing while this one compiles.
-  bool built_here = false;
-  std::call_once(entry->build_once, [&] {
-    built_here = true;
-    stats_.cache_misses.fetch_add(1, kRelaxed);
-    rx().cache_misses.inc();
+  // The expensive pipeline build runs exactly once per cache entry; no
+  // cache lock is held during it, so other fingerprints keep flowing.
+  DecisionCache::Lookup found = cache_.get(fingerprint, [&](Decision& d) {
     // Out-of-band resolution happens here, before the shared config lock:
     // registering the fetched format and transforms takes the config lock
     // exclusively, which would deadlock from inside the build.
-    maybe_resolve(fingerprint, entry->decision);
+    maybe_resolve(fingerprint, d);
     uint64_t b0 = obs::monotonic_ns();
     {
       std::shared_lock config(config_mutex_);
-      build_decision(entry->decision, fingerprint);
+      build_decision(d, fingerprint);
     }
     rx().build_ns.record(obs::monotonic_ns() - b0);
   });
-  if (built_here && entry->decision.provisional) {
+  if (found.built && found.entry->value.provisional) {
     // Don't cache a rejection caused by an unreachable format service:
     // drop the entry (unless a flush already did) so the next message of
-    // this format retries the fetch. In-flight threads holding `entry`
+    // this format retries the fetch. In-flight threads holding the entry
     // still deliver against the provisional decision safely.
-    std::unique_lock lock(shard.mutex);
-    auto it = shard.entries.find(fingerprint);
-    if (it != shard.entries.end() && it->second == entry) {
-      shard.entries.erase(it);
-      cached_count_.fetch_sub(1, kRelaxed);
-    }
+    cache_.erase_if_same(fingerprint, found.entry);
   }
-  if (!built_here) {
-    stats_.cache_hits.fetch_add(1, kRelaxed);
-    rx().cache_hits.inc();
-    rx().decide_hit_ns.record(obs::monotonic_ns() - t0);
-  } else {
-    rx().decide_miss_ns.record(obs::monotonic_ns() - t0);
-  }
-  return entry;
+  (found.built ? rx().decide_miss_ns : rx().decide_hit_ns).record(obs::monotonic_ns() - t0);
+  return std::move(found.entry);
 }
 
 void Receiver::maybe_resolve(uint64_t fingerprint, Decision& d) {
@@ -496,7 +441,7 @@ Outcome Receiver::process(const void* buf, size_t size, RecordArena& arena) {
   rx().messages.inc();
   pbio::WireInfo info = pbio::peek_header(buf, size);
   EntryPtr entry = decide(info.fingerprint);
-  const Decision& d = entry->decision;
+  const Decision& d = entry->value;
 
   switch (d.outcome) {
     case Outcome::kRejected:
@@ -547,7 +492,7 @@ Outcome Receiver::process(const void* buf, size_t size, RecordArena& arena) {
 Outcome Receiver::process_in_place(void* buf, size_t size, RecordArena& arena) {
   pbio::WireInfo info = pbio::peek_header(buf, size);
   EntryPtr entry = decide(info.fingerprint);
-  const Decision& d = entry->decision;
+  const Decision& d = entry->value;
   if (d.outcome == Outcome::kExact && d.exact_decoder != nullptr) {
     void* record = d.exact_decoder->decode_in_place(buf, size);
     if (record != nullptr) {
@@ -600,7 +545,7 @@ Outcome Receiver::process_in_place(void* buf, size_t size, RecordArena& arena) {
 Outcome Receiver::process_record(const pbio::FormatPtr& fmt, void* record,
                                  RecordArena& arena) {
   EntryPtr entry = decide(fmt->fingerprint());
-  const Decision& d = entry->decision;
+  const Decision& d = entry->value;
 
   if (d.outcome == Outcome::kRejected || d.outcome == Outcome::kDefaulted) {
     stats_.messages.fetch_add(1, kRelaxed);

@@ -32,7 +32,6 @@
 //     thread-safe themselves when the receiver is driven in parallel.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -43,6 +42,7 @@
 #include <vector>
 
 #include "common/arena.hpp"
+#include "common/once_cache.hpp"
 #include "obs/metrics.hpp"
 #include "core/format_source.hpp"
 #include "core/match.hpp"
@@ -90,11 +90,6 @@ struct ReceiverOptions {
   /// to stop after this many iterations instead of being rejected outright;
   /// 0 rejects them.
   int64_t verify_fuel_limit = 1 << 20;
-  /// Upper bound on cached per-format decisions. A hostile peer could
-  /// otherwise stream endless fresh formats and grow the cache without
-  /// limit; on overflow the whole cache is flushed (decisions are
-  /// recomputable, so flushing only costs time).
-  size_t max_cached_decisions = 1024;
   /// Out-of-band format resolution (the paper's third-party format server).
   /// When a data frame references a fingerprint with no learned definition,
   /// the receiver consults `format_source` (typically a
@@ -197,9 +192,7 @@ class Receiver {
 
   ReceiverStats stats() const;
   const ReceiverOptions& options() const { return options_; }
-  size_t cached_decisions() const {
-    return cached_count_.load(std::memory_order_relaxed);
-  }
+  size_t cached_decisions() const { return cache_.size(); }
 
   /// All reader formats registered under `name` (the Fr of Algorithm 2).
   std::vector<pbio::FormatPtr> reader_formats(const std::string& name) const;
@@ -243,29 +236,18 @@ class Receiver {
     bool provisional = false;
   };
 
-  /// One cache slot. The once-flag guarantees the expensive build runs
-  /// exactly once per fingerprint even under concurrent cold arrival;
-  /// late threads block here (on this entry only), then read the decision
-  /// with the happens-before edge call_once provides. Entries are handed
-  /// out as shared_ptrs so an in-flight delivery survives a cache flush.
-  struct CacheEntry {
-    std::once_flag build_once;
-    Decision decision;
-  };
-  using EntryPtr = std::shared_ptr<CacheEntry>;
-
-  static constexpr size_t kCacheShards = 16;  // power of two
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<uint64_t, EntryPtr> entries;
-  };
+  /// The decision cache (common/once_cache.hpp): one build per
+  /// fingerprint under concurrent cold arrival, at most
+  /// OnceCache::kMaxEntries decisions (a peer streaming endless fresh
+  /// formats costs rebuilds, not memory). Entries are shared_ptrs, so an
+  /// in-flight delivery survives a flush.
+  using DecisionCache = OnceCache<uint64_t, Decision>;
+  using EntryPtr = DecisionCache::EntryPtr;
 
   /// Live counters. Relaxed atomics: each is an independent monotone
   /// counter, never used to publish other data.
   struct Counters {
     std::atomic<uint64_t> messages{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
     std::atomic<uint64_t> exact{0};
     std::atomic<uint64_t> perfect{0};
     std::atomic<uint64_t> morphed{0};
@@ -275,7 +257,6 @@ class Receiver {
     std::atomic<uint64_t> transforms_compiled{0};
     std::atomic<uint64_t> verify_rejected{0};
     std::atomic<uint64_t> zero_copy{0};
-    std::atomic<uint64_t> cache_flushes{0};
     std::atomic<uint64_t> resolve_fetched{0};
     std::atomic<uint64_t> resolve_degraded{0};
     std::atomic<uint64_t> morph_fused{0};
@@ -285,17 +266,10 @@ class Receiver {
     std::atomic<uint64_t> fusion_bailouts{0};
   };
 
-  Shard& shard_for(uint64_t fingerprint) {
-    // Fingerprints are already well-mixed hashes; fold the high bits in so
-    // shard choice never degenerates even if a bit range is biased.
-    return shards_[(fingerprint ^ (fingerprint >> 32)) & (kCacheShards - 1)];
-  }
-
   EntryPtr decide(uint64_t fingerprint);
   void build_decision(Decision& d, uint64_t fingerprint);
   void maybe_resolve(uint64_t fingerprint, Decision& d);
   void add_resolved(ResolvedFormat resolved);
-  void flush_cache();
   Outcome finish_delivery(const Decision& d, void* record);
 
   ReceiverOptions options_;
@@ -304,7 +278,7 @@ class Receiver {
   /// transforms_). Decision builds hold it shared; register_* / learn_*
   /// hold it exclusive. Lock order: never acquire the config lock while
   /// holding a shard lock (builds run with no shard lock held; writers
-  /// release the config lock before flush_cache touches the shards).
+  /// release the config lock before flushing the cache).
   mutable std::shared_mutex config_mutex_;
   pbio::FormatRegistry reader_formats_;  // internally thread-safe
   std::unordered_map<uint64_t, std::shared_ptr<Handler>> handlers_;
@@ -312,8 +286,7 @@ class Receiver {
   pbio::FormatRegistry learned_;  // internally thread-safe
   TransformCatalog transforms_;
 
-  std::array<Shard, kCacheShards> shards_;
-  std::atomic<size_t> cached_count_{0};
+  DecisionCache cache_{"rx_decision"};
   mutable Counters stats_;
 };
 

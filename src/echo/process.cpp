@@ -61,7 +61,7 @@ bool is_fp_hex(const std::string& s) {
 /// Upper bound on distinct (channel, format-name) EVTSUB entries per peer.
 /// Announcements are peer-controlled input; without a cap a hostile peer
 /// streaming fresh names could grow broker memory without bound (the
-/// max_cached_plans rationale, applied to the subscription map).
+/// rationale of OnceCache::kMaxEntries, applied to the subscription map).
 constexpr size_t kMaxEventSubsPerPeer = 4096;
 }  // namespace
 

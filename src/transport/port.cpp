@@ -143,9 +143,11 @@ void MessagePort::send_record(const pbio::FormatPtr& fmt, const void* record) {
   obs::TraceSpan span("port.send", &port_metrics().send_ns);
 
   send_meta_for(fmt);
-  if (peer_accepts_pbuf_ && pbuf_sendable(fmt)) {
-    send_record_pbuf(fmt, record, trace_id);
-    return;
+  if (peer_accepts_pbuf_) {
+    if (const pbuf::EncodePlan* plan = pbuf_encoder_for(fmt)) {
+      send_record_pbuf(*plan, record, trace_id);
+      return;
+    }
   }
   auto it = encoders_.find(fmt->fingerprint());
   if (it == encoders_.end()) {
@@ -162,23 +164,20 @@ void MessagePort::send_record(const pbio::FormatPtr& fmt, const void* record) {
   port_metrics().bytes_sent.add(frame.size());
 }
 
-bool MessagePort::pbuf_sendable(const pbio::FormatPtr& fmt) {
-  auto it = pbuf_sendable_.find(fmt->fingerprint());
-  if (it == pbuf_sendable_.end()) {
-    it = pbuf_sendable_.emplace(fmt->fingerprint(), pbuf::pbuf_encodable(*fmt)).first;
-  }
-  return it->second;
-}
-
-void MessagePort::send_record_pbuf(const pbio::FormatPtr& fmt, const void* record,
-                                   uint64_t trace_id) {
+pbuf::EncodePlan* MessagePort::pbuf_encoder_for(const pbio::FormatPtr& fmt) {
   auto it = pbuf_encoders_.find(fmt->fingerprint());
   if (it == pbuf_encoders_.end()) {
-    it = pbuf_encoders_.emplace(fmt->fingerprint(), std::make_unique<pbuf::EncodePlan>(fmt))
-             .first;
+    std::unique_ptr<pbuf::EncodePlan> plan;
+    if (pbuf::pbuf_encodable(*fmt)) plan = std::make_unique<pbuf::EncodePlan>(fmt);
+    it = pbuf_encoders_.emplace(fmt->fingerprint(), std::move(plan)).first;
   }
+  return it->second.get();
+}
+
+void MessagePort::send_record_pbuf(const pbuf::EncodePlan& plan, const void* record,
+                                   uint64_t trace_id) {
   ByteBuffer frame;
-  write_pbuf_frame(frame, *it->second, record, pbuf_scratch_, trace_id);
+  write_pbuf_frame(frame, plan, record, pbuf_scratch_, trace_id);
   link_.send(frame);
   ++stats_.data_sent;
   ++stats_.pbuf_sent;

@@ -103,8 +103,10 @@ class MessagePort {
   void on_bytes(const uint8_t* data, size_t size);
   void feed_frames(const uint8_t* data, size_t size);
   void send_meta_for(const pbio::FormatPtr& fmt);
-  bool pbuf_sendable(const pbio::FormatPtr& fmt);
-  void send_record_pbuf(const pbio::FormatPtr& fmt, const void* record, uint64_t trace_id);
+  /// The cached protobuf encoder for `fmt`, or nullptr when the format
+  /// cannot be expressed as protobuf (no field numbers).
+  pbuf::EncodePlan* pbuf_encoder_for(const pbio::FormatPtr& fmt);
+  void send_record_pbuf(const pbuf::EncodePlan& plan, const void* record, uint64_t trace_id);
   void deliver_pbuf(const Frame& frame);
 
   Link& link_;
@@ -115,7 +117,6 @@ class MessagePort {
   std::unordered_map<uint64_t, std::unique_ptr<pbio::Encoder>> encoders_;
   std::unordered_map<uint64_t, std::unique_ptr<pbuf::EncodePlan>> pbuf_encoders_;
   std::unordered_map<uint64_t, std::unique_ptr<pbuf::DecodePlan>> pbuf_decoders_;
-  std::unordered_map<uint64_t, bool> pbuf_sendable_;  // pbuf_encodable, cached
   pbuf::EncodeScratch pbuf_scratch_;
   std::function<void(const uint8_t*, size_t)> on_control_;
   MetaPublisher meta_publisher_;

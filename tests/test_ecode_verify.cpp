@@ -4,6 +4,7 @@
 // compile gate.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -106,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(
         NegativeCase{"ReadBeforeAssign",
                      "dst.i32 = dst.i16;",
                      VerifyCheck::kReadBeforeAssign, 1, "dst.i16"},
-        NegativeCase{"UnboundedLoop",
+        NegativeCase{"UnboundedWhileLoop",
                      "int i = 0;\n"
                      "while (src.i32 < 10) { i = i + 1; }",
                      VerifyCheck::kUnboundedLoop, 2, "termination certificate"}),
@@ -118,6 +119,11 @@ struct PositiveCase {
   const char* name;
   const char* code;
 };
+
+// Print the case name: gtest's fallback dumps the object's bytes, which for
+// these pointer fields differ from one process to the next, so the listed
+// test names would too.
+void PrintTo(const PositiveCase& c, std::ostream* os) { *os << c.name; }
 
 class VerifyPositive : public ::testing::TestWithParam<PositiveCase> {};
 

@@ -201,6 +201,40 @@ TEST(FanoutPlanner2, IdentityUnreachableAndCacheBehavior) {
   EXPECT_GE(stats.cache_flushes, 1u);
 }
 
+TEST(FanoutPlanner2, EveryBuildIsTimedIncludingUnreachable) {
+  // morph_span_ns{span="fanout.plan_build"} counts one sample per build on
+  // every path: no target definition, no chain, and verifier rejection.
+  obs::Histogram& build_ns =
+      obs::metrics().histogram("morph_span_ns{span=\"fanout.plan_build\"}");
+  auto sub = FormatBuilder("Sample").add_int("v", 4).build();
+  auto src =
+      FormatBuilder("Report").add_int("count", 4).add_dyn_array("samples", sub, "count").build();
+  auto dst = FormatBuilder("Report").add_int("sum", 8).build();
+  auto stray = FormatBuilder("Stray").add_int("y", 4).build();
+
+  FanoutPlannerOptions opts;
+  opts.verify = VerifyPolicy::kEnforce;
+  FanoutPlanner planner(opts);
+  planner.learn_format(stray);
+  TransformSpec unverifiable;  // reads samples[0] without checking count
+  unverifiable.src = src;
+  unverifiable.dst = dst;
+  unverifiable.code = "old.sum = new.samples[0].v;";
+  planner.learn_transform(unverifiable);
+
+  const uint64_t timed0 = build_ns.snapshot().count;
+  const FanoutPlannerStats before = planner.stats();
+  EXPECT_FALSE(planner.plan(src, 0xdeadbeefull)->reachable());       // no definition
+  EXPECT_FALSE(planner.plan(src, stray->fingerprint())->reachable());  // no chain
+  EXPECT_FALSE(planner.plan(src, dst->fingerprint())->reachable());    // verifier rejects
+  const FanoutPlannerStats after = planner.stats();
+
+  EXPECT_EQ(after.plans_built - before.plans_built, 3u);
+  EXPECT_EQ(after.unreachable - before.unreachable, 3u);
+  EXPECT_EQ(after.verify_rejected - before.verify_rejected, 1u);
+  EXPECT_EQ(build_ns.snapshot().count - timed0, after.plans_built - before.plans_built);
+}
+
 // --- registry unit behavior --------------------------------------------------
 
 TEST(FanoutRegistry2, GroupsMovesAndChurn) {

@@ -39,10 +39,11 @@ TEST(ObsConcurrency, ScrapeWhileWriting) {
   constexpr int kWriters = 4;
   constexpr uint64_t kPerThread = 20000;
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scrapes{0};
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&reg, t] {
+    threads.emplace_back([&reg, &scrapes, t] {
       // Each writer also creates its own metrics, so scrapes race the
       // registry map insert path, not just the stripe updates.
       Counter& mine = reg.counter("writer_total{id=\"" + std::to_string(t) + "\"}");
@@ -50,6 +51,11 @@ TEST(ObsConcurrency, ScrapeWhileWriting) {
       Histogram& h = reg.histogram("lat_ns");
       Gauge& g = reg.gauge("depth");
       for (uint64_t i = 0; i < kPerThread; ++i) {
+        // Halfway through, wait for a completed scrape, so at least one
+        // scrape overlaps the writes however the threads are scheduled.
+        if (i == kPerThread / 2) {
+          while (scrapes.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+        }
         mine.inc();
         shared.inc();
         h.record(i % 5000);
@@ -58,7 +64,6 @@ TEST(ObsConcurrency, ScrapeWhileWriting) {
     });
   }
   // Two scrapers snapshot and run both exporters until the writers finish.
-  std::atomic<uint64_t> scrapes{0};
   for (int s = 0; s < 2; ++s) {
     threads.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {

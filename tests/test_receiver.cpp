@@ -341,38 +341,28 @@ TEST(Receiver, DecisionIsCached) {
 
 TEST(Receiver, DecisionCacheIsBounded) {
   // A peer streaming endless fresh formats cannot grow the cache without
-  // limit: overflow flushes, everything keeps working.
-  ReceiverOptions opt;
-  opt.max_cached_decisions = 8;
-  Receiver rx(opt);
+  // limit: overflow flushes, everything keeps working. Handlers are all
+  // registered up front, so the flushes counted while streaming are
+  // overflow flushes.
+  constexpr int kFormats = 1030;
+  Receiver rx;
   int delivered = 0;
-  for (int i = 0; i < 30; ++i) {
+  std::vector<ByteBuffer> bufs;
+  for (int i = 0; i < kFormats; ++i) {
     auto fmt = FormatBuilder("M" + std::to_string(i)).add_int("base", 4).build();
     rx.register_handler(fmt, [&](const Delivery&) { ++delivered; });
     rx.learn_format(fmt);
-    auto buf = encode_one(fmt, i);
-    RecordArena arena;
-    EXPECT_EQ(rx.process(buf.data(), buf.size(), arena), Outcome::kExact);
+    bufs.push_back(encode_one(fmt, i));
   }
-  EXPECT_EQ(delivered, 30);
-  EXPECT_LE(rx.cached_decisions(), 8u);
-  // register_handler also clears the cache, so flushes may be 0 here; force
-  // an overflow without registrations to observe one.
-  ReceiverOptions opt2;
-  opt2.max_cached_decisions = 4;
-  Receiver rx2(opt2);
-  std::vector<FormatPtr> fmts;
-  for (int i = 0; i < 6; ++i) {
-    fmts.push_back(FormatBuilder("N" + std::to_string(i)).add_int("base", 4).build());
-    rx2.register_handler(fmts.back(), [](const Delivery&) {});
-    rx2.learn_format(fmts.back());
-  }
+  const ReceiverStats before = rx.stats();
   RecordArena arena;
-  for (int i = 0; i < 6; ++i) {
-    auto buf = encode_one(fmts[static_cast<size_t>(i)], i);
-    rx2.process(buf.data(), buf.size(), arena);
+  for (const ByteBuffer& buf : bufs) {
+    EXPECT_EQ(rx.process(buf.data(), buf.size(), arena), Outcome::kExact);
+    EXPECT_LE(rx.cached_decisions(), 1024u);
   }
-  EXPECT_GE(rx2.stats().cache_flushes, 1u);
+  EXPECT_EQ(delivered, kFormats);
+  EXPECT_LE(rx.cached_decisions(), 1024u);
+  EXPECT_GE(rx.stats().delta(before).cache_flushes, 1u);
 }
 
 TEST(Receiver, RegistrationInvalidatesCache) {

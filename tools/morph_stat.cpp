@@ -271,13 +271,13 @@ void render_echo(const Snapshot& s) {
                 static_cast<double>(deliveries) / static_cast<double>(fan_events), morphs,
                 static_cast<double>(morphs) / static_cast<double>(fan_events),
                 counter("echo_fanout_encodes_total"), counter("echo_fanout_fallback_total"));
-    uint64_t plans = counter("morph_fanout_plans_total{result=\"built\"}");
-    uint64_t hits = counter("morph_fanout_plans_total{result=\"hit\"}");
+    uint64_t plans = counter("morph_cache_events_total{cache=\"fanout_plan\",event=\"build\"}");
+    uint64_t hits = counter("morph_cache_events_total{cache=\"fanout_plan\",event=\"hit\"}");
     if (plans + hits > 0) {
       std::printf("  fan-out plans: %" PRIu64 " built, %" PRIu64 " cache hits, %" PRIu64
                   " unreachable, %" PRIu64 " flushes\n",
                   plans, hits, counter("morph_fanout_plans_total{result=\"unreachable\"}"),
-                  counter("morph_fanout_cache_flushes_total"));
+                  counter("morph_cache_events_total{cache=\"fanout_plan\",event=\"flush\"}"));
     }
   }
 }
@@ -581,12 +581,13 @@ int check(const Snapshot& s) {
     }
   }
 
-  // Fan-out planner conservation: "unreachable" builds are a subset of
-  // "built" (every build bumps built; the failed ones also bump
-  // unreachable), and verifier rejections are one of the ways a build
-  // becomes unreachable.
+  // Fan-out planner conservation: "unreachable" builds are a subset of the
+  // plan cache's builds (every build bumps event="build"; the failed ones
+  // also bump unreachable), and verifier rejections are one of the ways a
+  // build becomes unreachable.
   {
-    uint64_t plan_built = counter("morph_fanout_plans_total{result=\"built\"}");
+    uint64_t plan_built =
+        counter("morph_cache_events_total{cache=\"fanout_plan\",event=\"build\"}");
     uint64_t plan_unreachable = counter("morph_fanout_plans_total{result=\"unreachable\"}");
     if (plan_unreachable > plan_built) {
       fail("fan-out unreachable plans " + std::to_string(plan_unreachable) +
